@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import dataflow, imageio, model, quant, scheduler, tdc
-from .errors import TdcnetError
+from .errors import TdcnetError, WeightFormatError
 from .model import DeconvLayerSpec, FsrcnnConfig, Tensor3, build_fsrcnn, parse_weights
 from .pipeline import infer
 
@@ -72,8 +72,12 @@ def _parse_bits(spec: str) -> list[int]:
 
 
 def _load_weight_file(path: str) -> model.WeightSet:
-    with open(path) as f:
-        return parse_weights(json.load(f))
+    try:
+        with open(path, encoding="utf-8") as f:
+            doc = json.load(f)
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        raise WeightFormatError(f"{path}: not a JSON weight file ({e})") from None
+    return parse_weights(doc)
 
 
 # ---------------------------------------------------------------- subcommands
@@ -129,33 +133,16 @@ def _verify_one(kd: int, s: int, seed: int) -> bool:
     return bool(np.array_equal(got.data, want.data))
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("TDC_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _cmd_verify_tdc(args, argv):
     pairs = [(args.kd, args.stride)] if args.kd else [
         (kd, s) for s in (2, 3, 4) for kd in range(s, 12)
     ]
     seq = np.random.SeedSequence(args.seed)
-    threads = _thread_cap()
     failures = 0
     detail = []
     for (kd, s), child in zip(pairs, seq.spawn(len(pairs))):
-        # per-trial seeds come from the master seed, so the result set is
-        # identical at any thread count
         seeds = [int(v) for v in child.generate_state(args.trials)]
-        if threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                oks = list(pool.map(lambda sd: _verify_one(kd, s, sd), seeds))
-        else:
-            oks = [_verify_one(kd, s, sd) for sd in seeds]
-        bad = sum(1 for ok in oks if not ok)
+        bad = sum(1 for sd in seeds if not _verify_one(kd, s, sd))
         tdc.find_crop_offset(
             DeconvLayerSpec(kd, s, 1, 1, np.zeros((1, 1, kd, kd)), np.zeros(1))
         )
@@ -415,8 +402,8 @@ def _build_parser() -> argparse.ArgumentParser:
     i.add_argument("--bits", type=int, default=13)
     i.add_argument("--in", dest="input", required=True)
     i.add_argument("--out", dest="output", required=True)
-    i.add_argument("--report")
-    i.set_defaults(func=_cmd_infer, out=None)
+    i.add_argument("--report", dest="out")
+    i.set_defaults(func=_cmd_infer)
 
     sw = sub.add_parser("sweep-bitwidth", help="fixed-vs-float PSNR per bit-width")
     sw.add_argument("--weights", required=True)

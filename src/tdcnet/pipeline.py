@@ -20,7 +20,8 @@ from .model import ConvLayerSpec, DeconvLayerSpec, NetworkSpec, Tensor3
 from .quant import (QFormat, QuantizedLayer, QuantizedNetwork, _inference_convs,
                     float_forward, quantize_array, quantize_network,
                     quantized_conv_rows, quantized_forward)
-from .reference import bicubic_upscale_plane, rgb_to_ycbcr, ycbcr_to_rgb
+from .reference import (bicubic_upscale_plane, conv_rows, depth_to_space_array,
+                        rgb_to_ycbcr, ycbcr_to_rgb)
 
 
 @dataclass
@@ -53,10 +54,9 @@ def _luma_float(net: NetworkSpec, y_plane: np.ndarray) -> np.ndarray:
     return _denormalize(out.data[0])
 
 
-def _luma_fixed(net: NetworkSpec, y_plane: np.ndarray, qw: QFormat, qa: QFormat,
-                qnet: Optional[QuantizedNetwork] = None) -> np.ndarray:
-    if qnet is None:
-        qnet = quantize_network(net, qw, qa)
+def _luma_fixed(net: NetworkSpec, y_plane: np.ndarray, qw: QFormat,
+                qa: QFormat) -> np.ndarray:
+    qnet = quantize_network(net, qw, qa)
     x_raw = quantize_array(y_plane / 255.0, qa)[None]
     out_raw = quantized_forward(qnet, x_raw)
     return _denormalize(out_raw[0].astype(np.float64) * qa.step)
@@ -130,39 +130,20 @@ class _ConvStage:
         return 0 if self.fused else self.conv.kernel * self.width * self.conv.in_maps
 
     def _window(self, out_row: int) -> np.ndarray:
-        """Rows out_row-pad_before .. out_row+pad_after, zeros outside the image."""
+        """Rows out_row-pad_before .. out_row+pad_after, zero-padded on all sides."""
         k, pb = self.conv.kernel, self.conv.pad_before
-        n = self.conv.in_maps
-        dtype = self.ring.dtype
-        win = np.zeros((n, k, self.width), dtype=dtype)
+        win = np.zeros((self.conv.in_maps, k, self.width + k - 1), dtype=self.ring.dtype)
         for t in range(k):
             r = out_row - pb + t
             if 0 <= r < self.height:
-                win[:, t, :] = self.ring[:, r % k, :]
+                win[:, t, pb:pb + self.width] = self.ring[:, r % k, :]
         return win
 
-    def _emit(self, window: np.ndarray) -> np.ndarray:
-        """(M, width) output row from an (N, K, width) row window."""
-        k, pb, pa = self.conv.kernel, self.conv.pad_before, self.conv.pad_after
-        n, _, w = window.shape
+    def _emit(self, padded: np.ndarray) -> np.ndarray:
+        """(M, width) output row from an (N, K, width + K - 1) padded window."""
         if self.mode == "fixed":
-            padded = np.zeros((n, k, w + k - 1), dtype=np.int64)
-            padded[:, :, pb:pb + w] = window
             return quantized_conv_rows(self.qlayer, padded, self.qnet)[:, 0, :]
-        padded = np.zeros((n, k, w + k - 1))
-        padded[:, :, pb:pb + w] = window
-        conv = self.conv
-        out = np.empty((conv.out_maps, w))
-        for om in range(conv.out_maps):
-            acc = np.full(w, conv.bias[om])
-            for nn in range(n):
-                for ky in range(k):
-                    for kx in range(k):
-                        acc = acc + conv.weights[om, nn, ky, kx] * padded[nn, ky, kx:kx + w]
-            out[om] = acc
-        if conv.prelu_slope is not None:
-            out = np.where(out >= 0, out, conv.prelu_slope[:, None] * out)
-        return out
+        return conv_rows(padded, self.conv)[:, 0, :]
 
     def push(self, row: Optional[np.ndarray]) -> list[np.ndarray]:
         """Feed one input row (None = end-of-image flush step); collect ready rows."""
@@ -195,14 +176,7 @@ class _DepthToSpaceStage:
     def push(self, row: Optional[np.ndarray]) -> list[np.ndarray]:
         if row is None:
             return []
-        s = self.scale
-        c, w = row.shape
-        m = c // (s * s)
-        blocks = row.reshape(m, s, s, w)              # (m, yo, xo, X)
-        rows = []
-        for yo in range(s):
-            rows.append(blocks[:, yo].transpose(0, 2, 1).reshape(m, w * s))
-        return rows
+        return list(depth_to_space_array(row[:, None, :], self.scale).swapaxes(0, 1))
 
 
 def infer_streaming(image, net: NetworkSpec, scale: int, mode: str = "float",

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DimensionError
 from .model import ConvLayerSpec, DeconvLayerSpec, NetworkSpec, Tensor3
+from .reference import conv2d, conv_taps, depth_to_space, depth_to_space_array, psnr
 from .tdc import transform_weights
 
 
@@ -64,16 +65,27 @@ def dequantize(raw, q: QFormat):
     return np.asarray(raw, dtype=np.float64) * q.step
 
 
+def _rshift_half_even_into(v: np.ndarray, bits: int, odd: np.ndarray) -> None:
+    """v <- v / 2**bits rounded half to even, in place.
+
+    With q = v >> bits, (v + 2**(bits-1) - 1 + (q & 1)) >> bits rounds up
+    exactly when the remainder exceeds half, or equals half and q is odd.
+    `odd` is int8 scratch of v's shape that receives q & 1.
+    """
+    if bits == 0:
+        return
+    np.right_shift(v, bits, out=odd, casting="unsafe")     # low byte of q
+    np.bitwise_and(odd, 1, out=odd)
+    v += (1 << (bits - 1)) - 1
+    v += odd
+    v >>= bits
+
+
 def round_half_even_rshift(v: np.ndarray, bits: int) -> np.ndarray:
     """Divide integers by 2**bits, rounding half to even. Exact, vectorized."""
-    if bits == 0:
-        return np.asarray(v, dtype=np.int64)
-    v = np.asarray(v, dtype=np.int64)
-    q = v >> bits                      # floor division
-    r = v - (q << bits)
-    half = 1 << (bits - 1)
-    round_up = (r > half) | ((r == half) & ((q & 1) == 1))
-    return q + round_up.astype(np.int64)
+    out = np.array(v, dtype=np.int64)
+    _rshift_half_even_into(out, bits, np.empty(out.shape, dtype=np.int8))
+    return out
 
 
 @dataclass(frozen=True)
@@ -126,37 +138,31 @@ def quantized_conv_rows(qlayer: QuantizedLayer, padded: np.ndarray,
                         qnet: QuantizedNetwork) -> np.ndarray:
     """Integer conv over a horizontally+vertically padded raw input block.
 
-    `padded` is (N, H + K - 1, W + K - 1) int64; returns (M, H, W) raw
+    `padded` is (N, R + K - 1, W + K - 1) int64; returns (M, R, W) raw
     activations. Shared by the batch and streaming paths so they agree bitwise.
+    The epilogue works in place with one int64 and one int8 scratch array,
+    so it needs little more memory than conv_taps itself; it uses no masked
+    (`where=`) ufuncs, which run an order of magnitude slower on int64.
     """
-    conv = qlayer.spec
-    k, m = conv.kernel, conv.out_maps
-    n_in = padded.shape[0]
-    h = padded.shape[1] - (k - 1)
-    w = padded.shape[2] - (k - 1)
-    qw, qa = qnet.q_weights, qnet.q_activations
-    out = np.empty((m, h, w), dtype=np.int64)
-    for om in range(m):
-        acc = np.full((h, w), qlayer.bias_raw[om], dtype=np.int64)
-        for n in range(n_in):
-            for ky in range(k):
-                for kx in range(k):
-                    acc = acc + qlayer.weights_raw[om, n, ky, kx] * padded[n, ky:ky + h, kx:kx + w]
-        if qlayer.prelu_raw is not None:
-            neg = acc < 0
-            scaled = round_half_even_rshift(acc * qlayer.prelu_raw[om], qw.frac_bits)
-            acc = np.where(neg, scaled, acc)
-        act = round_half_even_rshift(acc, qw.frac_bits)
-        out[om] = np.clip(act, qa.min_raw, qa.max_raw)
-    return out
+    bits, qa = qnet.q_weights.frac_bits, qnet.q_activations
+    acc = conv_taps(padded, qlayer.weights_raw, qlayer.bias_raw)
+    odd = np.empty(acc.shape, dtype=np.int8)
+    if qlayer.prelu_raw is not None:
+        # v >= 0 passes and v < 0 becomes round(v * slope); since round(0) = 0,
+        # the sum of the two parts is PReLU on every sample
+        neg = np.minimum(acc, 0)
+        acc -= neg
+        neg *= qlayer.prelu_raw[:, None, None]
+        _rshift_half_even_into(neg, bits, odd)
+        acc += neg
+    _rshift_half_even_into(acc, bits, odd)
+    return np.clip(acc, qa.min_raw, qa.max_raw, out=acc)
 
 
 def quantized_forward(qnet: QuantizedNetwork, x_raw: np.ndarray,
                       collect: bool = False):
     """Run the integer chain on raw input (C, H, W); returns raw output
     (and per-layer raw activations when collect=True)."""
-    from .reference import depth_to_space  # local to avoid import cycle
-
     cur = np.asarray(x_raw, dtype=np.int64)
     trace = []
     for qlayer in qnet.layers:
@@ -171,8 +177,7 @@ def quantized_forward(qnet: QuantizedNetwork, x_raw: np.ndarray,
         padded[:, pb:pb + h, pb:pb + w] = cur
         cur = quantized_conv_rows(qlayer, padded, qnet)
         if qlayer.depth_to_space:
-            cur = depth_to_space(Tensor3(cur.astype(np.float64)),
-                                 qlayer.depth_to_space).data.astype(np.int64)
+            cur = depth_to_space_array(cur, qlayer.depth_to_space)
         if collect:
             trace.append(cur)
     return (cur, trace) if collect else cur
@@ -180,8 +185,6 @@ def quantized_forward(qnet: QuantizedNetwork, x_raw: np.ndarray,
 
 def float_forward(net: NetworkSpec, x: Tensor3, collect: bool = False):
     """Float reference chain matching quantized_forward's structure."""
-    from .reference import conv2d, depth_to_space
-
     cur = x
     trace = []
     for conv, dts in _inference_convs(net):
@@ -277,7 +280,6 @@ def sweep_bitwidth(net: NetworkSpec, images: Sequence[np.ndarray],
     both weights and activations.
     """
     from .pipeline import infer
-    from .reference import psnr
 
     images = list(images)
     if not images:

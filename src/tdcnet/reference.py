@@ -3,6 +3,7 @@
 These are the ground truth the transformed/scheduled/quantized paths are checked
 against. Per-pixel summation order is fixed (input map outer, kernel row, kernel
 column inner) so results are bit-identical across runs regardless of layout.
+`conv_taps`, the one conv executor, runs the integer layers of `quant` too.
 """
 from __future__ import annotations
 
@@ -14,6 +15,37 @@ from .errors import DimensionError
 from .model import ConvLayerSpec, DeconvLayerSpec, Tensor3
 
 
+def conv_taps(padded: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """Bias plus the valid stride-1 convolution of a padded block.
+
+    `padded` is (N, R + K - 1, W + K - 1) and `weights` (M, N, K, K); returns
+    an (M, R, W) accumulator in their common dtype (float64 or int64). Taps run
+    in the fixed per-pixel order (n, ky, kx), each one multiply-add over all M
+    output maps, so every output sample sees the same operation sequence for
+    any R: a one-row block and a whole plane agree bit for bit.
+    """
+    m, n_in, k, _ = weights.shape
+    r, w = padded.shape[1] - (k - 1), padded.shape[2] - (k - 1)
+    acc = np.empty((m, r, w), dtype=np.result_type(padded, weights))
+    acc[...] = bias[:, None, None]
+    tmp = np.empty_like(acc)
+    for n in range(n_in):
+        for ky in range(k):
+            for kx in range(k):
+                np.multiply(weights[:, n, ky, kx, None, None],
+                            padded[n, ky:ky + r, kx:kx + w], out=tmp)
+                acc += tmp
+    return acc
+
+
+def conv_rows(padded: np.ndarray, layer: ConvLayerSpec) -> np.ndarray:
+    """One float layer over a padded block: conv_taps, then PReLU in place."""
+    out = conv_taps(padded, layer.weights, layer.bias)
+    if layer.prelu_slope is not None:
+        np.multiply(out, layer.prelu_slope[:, None, None], out=out, where=out < 0)
+    return out
+
+
 def conv2d(x: Tensor3, layer: ConvLayerSpec) -> Tensor3:
     """Stride-1 zero-padded convolution preserving spatial size.
 
@@ -22,23 +54,10 @@ def conv2d(x: Tensor3, layer: ConvLayerSpec) -> Tensor3:
     if x.channels != layer.in_maps:
         raise DimensionError(f"input channels {x.channels} != layer in_maps {layer.in_maps}")
     n_in, h, w = x.data.shape
-    k, m = layer.kernel, layer.out_maps
+    k, pb = layer.kernel, layer.pad_before
     padded = np.zeros((n_in, h + k - 1, w + k - 1))
-    pb = layer.pad_before
     padded[:, pb:pb + h, pb:pb + w] = x.data
-    out = np.empty((m, h, w))
-    wt = layer.weights
-    for om in range(m):
-        acc = np.full((h, w), layer.bias[om])
-        for n in range(n_in):
-            for ky in range(k):
-                for kx in range(k):
-                    acc = acc + wt[om, n, ky, kx] * padded[n, ky:ky + h, kx:kx + w]
-        out[om] = acc
-    result = Tensor3(out)
-    if layer.prelu_slope is not None:
-        result = prelu(result, layer.prelu_slope)
-    return result
+    return Tensor3(conv_rows(padded, layer))
 
 
 def deconv2d_canvas(x: Tensor3, layer: DeconvLayerSpec) -> Tensor3:
@@ -77,20 +96,24 @@ def canvas_window(canvas: Tensor3, offset: int, out_h: int, out_w: int) -> Tenso
     return Tensor3(out)
 
 
-def depth_to_space(t: Tensor3, scale: int) -> Tensor3:
-    """Move the S x S block phase out of the channel dimension.
+def depth_to_space_array(a: np.ndarray, scale: int) -> np.ndarray:
+    """Move the S x S block phase out of the channel dimension, any dtype.
 
     Input channel S^2*m + S*yo + xo at (Y, X) lands on output channel m at
     (S*Y + yo, S*X + xo).
     """
     s = scale
-    c, h, w = t.data.shape
+    c, h, w = a.shape
     if c % (s * s) != 0:
         raise DimensionError(f"channels {c} not divisible by scale^2 = {s * s}")
     m = c // (s * s)
-    blocks = t.data.reshape(m, s, s, h, w)          # (m, yo, xo, Y, X)
-    out = blocks.transpose(0, 3, 1, 4, 2).reshape(m, h * s, w * s)
-    return Tensor3(out)
+    blocks = a.reshape(m, s, s, h, w)               # (m, yo, xo, Y, X)
+    return blocks.transpose(0, 3, 1, 4, 2).reshape(m, h * s, w * s)
+
+
+def depth_to_space(t: Tensor3, scale: int) -> Tensor3:
+    """depth_to_space_array on a Tensor3."""
+    return Tensor3(depth_to_space_array(t.data, scale))
 
 
 def space_to_depth(t: Tensor3, scale: int) -> Tensor3:

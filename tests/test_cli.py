@@ -110,14 +110,6 @@ class TestVerify:
         assert code == 0
         assert report["results"]["failures"] == 0
 
-    def test_threaded_matches_sequential(self, capsys, monkeypatch):
-        argv = ["verify-tdc", "--kd", "7", "--stride", "2",
-                "--trials", "12", "--seed", "3"]
-        _, seq = run(capsys, argv)
-        monkeypatch.setenv("TDC_THREADS", "4")
-        _, par = run(capsys, argv)
-        assert seq == par
-
 
 class TestDeterminism:
     def test_byte_identical(self, capsys):
@@ -147,6 +139,15 @@ class TestExitCodes:
     def test_bad_weight_scale(self, capsys, weight_file):
         assert main(["transform", "--weights", weight_file, "--scale", "9"]) == 2
 
+    @pytest.mark.parametrize("content", [b'{"format": "tdcnet-weights-v1",',
+                                         b"\xff\xfe not utf-8"])
+    def test_malformed_weight_file(self, capsys, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        assert main(["transform", "--weights", str(path), "--scale", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestInferCli:
     def test_roundtrip(self, capsys, tmp_path, weight_file, rng):
@@ -157,6 +158,17 @@ class TestInferCli:
                      "--mode", "fixed", "--in", str(src), "--out", str(dst)])
         assert code == 0
         assert imageio.read_image(dst).shape == (12, 10, 3)
+
+    def test_report_file(self, capsys, tmp_path, weight_file, rng, schema):
+        src, dst, rep = tmp_path / "in.pgm", tmp_path / "out.pgm", tmp_path / "r.json"
+        imageio.write_image(src, rng.integers(0, 256, (4, 3)).astype(np.uint8))
+        code, out = run(capsys, ["infer", "--weights", weight_file, "--scale", "2",
+                                 "--in", str(src), "--out", str(dst),
+                                 "--report", str(rep)])
+        assert code == 0 and out == ""
+        report = json.loads(rep.read_text())
+        jsonschema.validate(report, schema)
+        assert report["results"]["output_size"] == [8, 6]
 
     def test_sweep_csv(self, capsys, tmp_path, weight_file, rng):
         imgs = tmp_path / "imgs"
