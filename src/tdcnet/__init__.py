@@ -15,7 +15,7 @@ from .quant import (QFormat, QuantizedLayer, QuantizedNetwork,
                     double_mac_product, fixed_point_error_bound,
                     quantize_array, quantize_network, quantize_value,
                     quantized_forward, round_half_even_rshift, sweep_bitwidth)
-from .scheduler import (CycleReport, LayerSchedule, PEInstruction, PESchedule,
+from .scheduler import (LayerSchedule, PEInstruction, PESchedule,
                         TilingParams, build_schedule, classify_case,
                         cycles_baseline, cycles_proposed,
                         schedule_deconv_layer, simulate_dclp)
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClpLayerPlan", "ClpPlan", "ConfigurationError", "ConvLayerSpec",
-    "CycleReport", "DeconvLayerSpec", "DimensionError", "FsrcnnConfig",
+    "DeconvLayerSpec", "DimensionError", "FsrcnnConfig",
     "InternalConsistencyError", "LayerSchedule", "NetworkSpec", "PEInstruction",
     "PESchedule", "QFormat", "QuantizedLayer", "QuantizedNetwork",
     "ResourceReport", "ScheduleMismatchError", "StreamStats", "TdcGeometry",

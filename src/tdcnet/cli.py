@@ -175,68 +175,35 @@ def _cmd_schedule(args, argv):
     return 0
 
 
-def _fsrcnn_cycle_rows() -> list[dict]:
-    m, n, kd = FSRCNN_DECONV["m"], FSRCNN_DECONV["n"], FSRCNN_DECONV["kd"]
-    tm, tn = FSRCNN_TILES
-    rows = []
-    for s in (2, 3, 4):
-        proposed = scheduler.cycles_proposed(m, n, FSRCNN_PIXELS, 1, kd, s, tm, tn)
-        baseline = scheduler.cycles_baseline(m, n, s * s * FSRCNN_PIXELS, 1, kd, tm, tn)
-        case, speedup = scheduler.classify_case(m, tm, s, kd)
-        row = {
-            "model": "fsrcnn", "layer": 8, "kd": kd, "stride": s,
-            "tm": tm, "tn": tn, "pixels": FSRCNN_PIXELS,
-            "proposed_cycles": proposed, "baseline_cycles": baseline,
-            "speedup": baseline / proposed, "case": case, "case_speedup": speedup,
-        }
-        if s == 4:
-            # published total for this row (786k cycles) is about twice the
-            # analytic model's result; left unmatched and flagged
-            row["published_cycles_k"] = 786
-            row["unexplained_discrepancy"] = True
-        rows.append(row)
-    return rows
-
-
-def _dcgan_cycle_rows() -> list[dict]:
-    tm, tn = DCGAN_TILES
-    rows = []
-    for spec in DCGAN_LAYERS:
-        m, n, hin, kd, s = spec["m"], spec["n"], spec["hin"], spec["kd"], spec["s"]
-        proposed = scheduler.cycles_proposed(m, n, hin, hin, kd, s, tm, tn)
-        baseline = scheduler.cycles_baseline(m, n, s * hin, s * hin, kd, tm, tn)
-        case, speedup = scheduler.classify_case(m, tm, s, kd)
-        rows.append({
-            "model": "dcgan", "layer": spec["layer"], "kd": kd, "stride": s,
-            "tm": tm, "tn": tn,
-            "proposed_cycles": proposed, "baseline_cycles": baseline,
-            "speedup": baseline / proposed, "case": case, "case_speedup": speedup,
-        })
-    return rows
+def _cycle_row(model_name: str, m: int, n: int, hin: int, win: int, kd: int, s: int,
+               tm: int, tn: int, **extra) -> dict:
+    proposed = scheduler.cycles_proposed(m, n, hin, win, kd, s, tm, tn)
+    baseline = scheduler.cycles_baseline(m, n, s * hin, s * win, kd, tm, tn)
+    case, speedup = scheduler.classify_case(m, tm, s, kd)
+    return {
+        "model": model_name, **extra, "kd": kd, "stride": s, "tm": tm, "tn": tn,
+        "proposed_cycles": proposed, "baseline_cycles": baseline,
+        "speedup": baseline / proposed, "case": case, "case_speedup": speedup,
+    }
 
 
 def _cmd_cycles(args, argv):
     if args.model == "dcgan":
-        rows = _dcgan_cycle_rows()
+        rows = [_cycle_row("dcgan", l["m"], l["n"], l["hin"], l["hin"], l["kd"], l["s"],
+                           *DCGAN_TILES, layer=l["layer"]) for l in DCGAN_LAYERS]
     elif args.model == "fsrcnn":
-        rows = _fsrcnn_cycle_rows()
+        m, n, kd = FSRCNN_DECONV["m"], FSRCNN_DECONV["n"], FSRCNN_DECONV["kd"]
+        rows = [_cycle_row("fsrcnn", m, n, FSRCNN_PIXELS, 1, kd, s, *FSRCNN_TILES,
+                           layer=8, pixels=FSRCNN_PIXELS) for s in (2, 3, 4)]
+        # published total for the S=4 row (786k cycles) is about twice the
+        # analytic model's result; left unmatched and flagged
+        rows[2].update(published_cycles_k=786, unexplained_discrepancy=True)
     else:
         for flag in ("m", "n", "hin", "kd", "stride", "tm", "tn"):
             if getattr(args, flag) is None:
                 raise TdcnetError(f"--model custom requires --{flag}")
-        win = args.win if args.win else args.hin
-        proposed = scheduler.cycles_proposed(args.m, args.n, args.hin, win,
-                                             args.kd, args.stride, args.tm, args.tn)
-        baseline = scheduler.cycles_baseline(args.m, args.n, args.stride * args.hin,
-                                             args.stride * win, args.kd,
-                                             args.tm, args.tn)
-        case, speedup = scheduler.classify_case(args.m, args.tm, args.stride, args.kd)
-        rows = [{
-            "model": "custom", "kd": args.kd, "stride": args.stride,
-            "tm": args.tm, "tn": args.tn,
-            "proposed_cycles": proposed, "baseline_cycles": baseline,
-            "speedup": baseline / proposed, "case": case, "case_speedup": speedup,
-        }]
+        rows = [_cycle_row("custom", args.m, args.n, args.hin, args.win or args.hin,
+                           args.kd, args.stride, args.tm, args.tn)]
     totals = {
         "proposed_cycles": sum(r["proposed_cycles"] for r in rows),
         "baseline_cycles": sum(r["baseline_cycles"] for r in rows),

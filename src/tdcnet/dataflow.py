@@ -105,17 +105,10 @@ def bram_count(plan: ClpPlan) -> int:
 
 def multiply_count(net: NetworkSpec) -> int:
     """Distinct multiplier operands across all layers, the deconv counted
-    post-transform with its structural zeros removed."""
-    total = 0
-    for layer in net.layers:
-        if isinstance(layer, DeconvLayerSpec):
-            geom = derive_geometry(layer.kernel, layer.scale)
-            s2, kc = layer.scale ** 2, geom.conv_kernel
-            num_zero = (kc * kc * s2 - layer.kernel ** 2) * layer.out_maps * layer.in_maps
-            total += s2 * layer.out_maps * layer.in_maps * kc * kc - num_zero
-        else:
-            total += layer.out_maps * layer.in_maps * layer.kernel ** 2
-    return total
+    post-transform with its structural zeros removed. The transform puts each
+    of a deconv's K_D^2 taps per map pair in exactly one phase filter, so
+    every layer keeps out_maps * in_maps * kernel^2 operands."""
+    return sum(l.out_maps * l.in_maps * l.kernel ** 2 for l in net.layers)
 
 
 def dsp_count(multiplies: int, alpha: float) -> int:

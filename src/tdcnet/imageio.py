@@ -11,21 +11,25 @@ import numpy as np
 from .errors import ConfigurationError
 
 
-def _read_token(f) -> bytes:
+def _read_int(f, path) -> int:
+    """Next whitespace-separated header field, skipping comments, as an int."""
     tok = b""
     while True:
         ch = f.read(1)
         if not ch:
-            raise ConfigurationError("truncated PNM header")
+            raise ConfigurationError(f"{path}: truncated PNM header")
         if ch in b" \t\r\n":
             if tok:
-                return tok
+                break
             continue
         if ch == b"#":
             while f.read(1) not in (b"\n", b""):
                 pass
             continue
         tok += ch
+    if not tok.isdigit():
+        raise ConfigurationError(f"{path}: PNM header field {tok!r} is not an integer")
+    return int(tok)
 
 
 def read_image(path) -> np.ndarray:
@@ -37,15 +41,14 @@ def read_image(path) -> np.ndarray:
         magic = f.read(2)
         if magic not in (b"P5", b"P6"):
             raise ConfigurationError(f"{path}: not a binary PGM/PPM file")
-        w = int(_read_token(f))
-        h = int(_read_token(f))
-        maxval = int(_read_token(f))
+        w, h, maxval = (_read_int(f, path) for _ in range(3))
         if maxval != 255:
             raise ConfigurationError(f"{path}: only maxval 255 is supported")
         channels = 1 if magic == b"P5" else 3
-        data = f.read(w * h * channels)
-        if len(data) != w * h * channels:
+        # check the header against the file size before allocating for it
+        if w * h * channels > os.fstat(f.fileno()).st_size - f.tell():
             raise ConfigurationError(f"{path}: truncated pixel data")
+        data = f.read(w * h * channels)
     arr = np.frombuffer(data, dtype=np.uint8)
     if channels == 1:
         return arr.reshape(h, w)

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -75,6 +76,31 @@ class Tensor3:
         return c, h, w
 
 
+def tap_map_runs(weights: np.ndarray) -> Optional[tuple[Optional[slice], ...]]:
+    """Per tap (ky, kx), the output maps whose (M, N, K, K) weights are not all zero.
+
+    None when every map is live at every tap (a dense layer). Otherwise one
+    entry per tap in (ky, kx) order: a slice of the live maps when they form a
+    strided run, as each tap's phases do in a transformed single-map deconv,
+    and None (all maps) when every map is live or the pattern is irregular,
+    which is never wrong, only slower.
+    """
+    live = np.any(weights, axis=1)
+    if live.all():
+        return None
+    m = live.shape[0]
+    runs: list[Optional[slice]] = []
+    for col in live.reshape(m, -1).T.tolist():
+        idx = [i for i, v in enumerate(col) if v]
+        if not idx:
+            runs.append(slice(0, 0))
+            continue
+        step = idx[1] - idx[0] if len(idx) > 1 else 1
+        strided = len(idx) < m and idx == list(range(idx[0], idx[-1] + 1, step))
+        runs.append(slice(idx[0], idx[-1] + 1, step) if strided else None)
+    return tuple(runs)
+
+
 def same_padding(kernel: int) -> tuple[int, int]:
     """(pad_before, pad_after) preserving spatial size for stride-1 convolution."""
     if kernel % 2 == 1:
@@ -123,6 +149,11 @@ class ConvLayerSpec:
             if s.size != m:
                 raise DimensionError(f"prelu length {s.size} != out_maps {m}")
             object.__setattr__(self, "prelu_slope", _frozen(s, (m,)))
+
+    @cached_property
+    def tap_maps(self) -> Optional[tuple[Optional[slice], ...]]:
+        """tap_map_runs of the weights, built once per layer."""
+        return tap_map_runs(self.weights)
 
 
 def conv_layer(kernel, out_maps, in_maps, weights, bias=None, prelu_slope=None) -> ConvLayerSpec:
@@ -282,6 +313,17 @@ def _require(cond: bool, msg: str):
         raise WeightFormatError(msg)
 
 
+def _numbers(values, length: int, what: str) -> np.ndarray:
+    """`length` finite numbers as a float64 array, else WeightFormatError."""
+    try:
+        arr = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as e:
+        raise WeightFormatError(f"{what}: not a list of numbers ({e})") from None
+    _require(arr.shape == (length,), f"{what}: length {arr.size} != {length}")
+    _require(bool(np.isfinite(arr).all()), f"{what}: contains NaN or infinity")
+    return arr
+
+
 def parse_weights(document: dict) -> WeightSet:
     """Parse and validate a weight document against its declared config."""
     _require(isinstance(document, dict), "weight document must be an object")
@@ -300,39 +342,39 @@ def parse_weights(document: dict) -> WeightSet:
     _require(isinstance(conv_entries, list), "conv_layers must be a list")
     _require(len(conv_entries) == len(expected),
              f"expected {len(expected)} conv layers, got {len(conv_entries)}")
-    names, convs = [], []
-    for entry, (k, m, n) in zip(conv_entries, expected):
-        name = entry.get("name", f"conv{len(convs) + 1}")
-        _require(int(entry["kc"]) == k and int(entry["m"]) == m and int(entry["n"]) == n,
-                 f"layer '{name}': declared shape ({entry.get('kc')},{entry.get('m')},"
-                 f"{entry.get('n')}) != config shape ({k},{m},{n})")
-        w = entry["weights"]
-        _require(len(w) == m * n * k * k,
-                 f"layer '{name}': weights length {len(w)} != {m}*{n}*{k}^2 = {m * n * k * k}")
-        b = entry["bias"]
-        _require(len(b) == m, f"layer '{name}': bias length {len(b)} != {m}")
-        prelu = entry.get("prelu")
-        if prelu is not None:
-            _require(len(prelu) == m, f"layer '{name}': prelu length {len(prelu)} != {m}")
-        names.append(name)
-        convs.append(conv_layer(k, m, n, w, bias=b, prelu_slope=prelu))
-
     dec_entries = document.get("deconv")
     _require(isinstance(dec_entries, list) and dec_entries, "deconv must be a non-empty list")
+    _require(all(isinstance(e, dict) for e in conv_entries + dec_entries),
+             "every conv_layers and deconv entry must be an object")
+    names, convs = [], []
     by_scale: dict[int, DeconvLayerSpec] = {}
-    for entry in dec_entries:
-        s = int(entry["scale"])
-        kd = int(entry["kd"])
-        _require(s in cfg.scales, f"deconv scale {s} not in declared scales")
-        _require(kd == cfg.deconv_kernel,
-                 f"deconv: kd {kd} != config kd {cfg.deconv_kernel}")
-        w = entry["weights"]
-        _require(len(w) == cfg.x * kd * kd,
-                 f"deconv(scale={s}): weights length {len(w)} != 1*{cfg.x}*{kd}^2 "
-                 f"= {cfg.x * kd * kd}")
-        b = entry["bias"]
-        _require(len(b) == 1, f"deconv(scale={s}): bias length {len(b)} != 1")
-        by_scale[s] = DeconvLayerSpec(kd, s, 1, cfg.x, w, b)
+    try:
+        for entry, (k, m, n) in zip(conv_entries, expected):
+            name = entry.get("name", f"conv{len(convs) + 1}")
+            _require(int(entry["kc"]) == k and int(entry["m"]) == m and int(entry["n"]) == n,
+                     f"layer '{name}': declared shape ({entry.get('kc')},{entry.get('m')},"
+                     f"{entry.get('n')}) != config shape ({k},{m},{n})")
+            w = _numbers(entry["weights"], m * n * k * k, f"layer '{name}' weights")
+            b = _numbers(entry["bias"], m, f"layer '{name}' bias")
+            prelu = entry.get("prelu")
+            if prelu is not None:
+                prelu = _numbers(prelu, m, f"layer '{name}' prelu")
+            names.append(name)
+            convs.append(conv_layer(k, m, n, w, bias=b, prelu_slope=prelu))
+
+        for entry in dec_entries:
+            s = int(entry["scale"])
+            kd = int(entry["kd"])
+            _require(s in cfg.scales, f"deconv scale {s} not in declared scales")
+            _require(kd == cfg.deconv_kernel,
+                     f"deconv: kd {kd} != config kd {cfg.deconv_kernel}")
+            w = _numbers(entry["weights"], cfg.x * kd * kd, f"deconv(scale={s}) weights")
+            b = _numbers(entry["bias"], 1, f"deconv(scale={s}) bias")
+            by_scale[s] = DeconvLayerSpec(kd, s, 1, cfg.x, w, b)
+    except KeyError as e:
+        raise WeightFormatError(f"layer entry without key {e}") from None
+    except (TypeError, ValueError) as e:
+        raise WeightFormatError(f"bad layer entry: {e}") from None
     return WeightSet(cfg, tuple(names), tuple(convs), by_scale)
 
 

@@ -145,7 +145,8 @@ def quantized_conv_rows(qlayer: QuantizedLayer, padded: np.ndarray,
     (`where=`) ufuncs, which run an order of magnitude slower on int64.
     """
     bits, qa = qnet.q_weights.frac_bits, qnet.q_activations
-    acc = conv_taps(padded, qlayer.weights_raw, qlayer.bias_raw)
+    # a float zero quantizes to zero, so the float spec's live maps cover these
+    acc = conv_taps(padded, qlayer.weights_raw, qlayer.bias_raw, qlayer.spec.tap_maps)
     odd = np.empty(acc.shape, dtype=np.int8)
     if qlayer.prelu_raw is not None:
         # v >= 0 passes and v < 0 becomes round(v * slope); since round(0) = 0,

@@ -8,6 +8,7 @@ column inner) so results are bit-identical across runs regardless of layout.
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 import numpy as np
 
@@ -15,32 +16,41 @@ from .errors import DimensionError
 from .model import ConvLayerSpec, DeconvLayerSpec, Tensor3
 
 
-def conv_taps(padded: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
+def conv_taps(padded: np.ndarray, weights: np.ndarray, bias: np.ndarray,
+              tap_maps: Optional[tuple[Optional[slice], ...]] = None) -> np.ndarray:
     """Bias plus the valid stride-1 convolution of a padded block.
 
     `padded` is (N, R + K - 1, W + K - 1) and `weights` (M, N, K, K); returns
     an (M, R, W) accumulator in their common dtype (float64 or int64). Taps run
-    in the fixed per-pixel order (n, ky, kx), each one multiply-add over all M
-    output maps, so every output sample sees the same operation sequence for
-    any R: a one-row block and a whole plane agree bit for bit.
+    in the fixed per-pixel order (n, ky, kx), each one multiply-add over the
+    output maps `tap_maps[ky * K + kx]` selects (all M where it or `tap_maps`
+    is None), so every output sample sees the same operation sequence for any R:
+    a one-row block and a whole plane agree bit for bit. Skipping only maps
+    whose weights at that tap are all zero leaves every sample unchanged as
+    long as the input is finite.
     """
     m, n_in, k, _ = weights.shape
     r, w = padded.shape[1] - (k - 1), padded.shape[2] - (k - 1)
     acc = np.empty((m, r, w), dtype=np.result_type(padded, weights))
     acc[...] = bias[:, None, None]
     tmp = np.empty_like(acc)
+    # per tap: its maps' accumulator and scratch, weight column and input window
+    whole = (acc, tmp, weights)
+    taps = []
+    for t, sl in enumerate(tap_maps or (None,) * (k * k)):
+        a, tm, wt = whole if sl is None else (acc[sl], tmp[sl], weights[sl])
+        ky, kx = divmod(t, k)
+        taps.append((a, tm, wt[:, :, ky, kx, None, None], padded[:, ky:ky + r, kx:kx + w]))
     for n in range(n_in):
-        for ky in range(k):
-            for kx in range(k):
-                np.multiply(weights[:, n, ky, kx, None, None],
-                            padded[n, ky:ky + r, kx:kx + w], out=tmp)
-                acc += tmp
+        for a, tm, wt, x in taps:
+            np.multiply(wt[:, n], x[n], out=tm)
+            a += tm
     return acc
 
 
 def conv_rows(padded: np.ndarray, layer: ConvLayerSpec) -> np.ndarray:
     """One float layer over a padded block: conv_taps, then PReLU in place."""
-    out = conv_taps(padded, layer.weights, layer.bias)
+    out = conv_taps(padded, layer.weights, layer.bias, layer.tap_maps)
     if layer.prelu_slope is not None:
         np.multiply(out, layer.prelu_slope[:, None, None], out=out, where=out < 0)
     return out

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ScheduleMismatchError
-from .model import ConvLayerSpec, DeconvLayerSpec, Tensor3
+from .model import ConvLayerSpec, DeconvLayerSpec, Tensor3, tap_map_runs
+from .reference import conv_taps
 from .tdc import TdcGeometry, derive_geometry, transform_weights
 
 
@@ -20,7 +21,7 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PEInstruction:
     phase_channel: int          # output index k = S*yo + xo within the group
     input_pos: tuple[int, int]  # (row, col) in the fetched kernel window
@@ -46,14 +47,6 @@ class TilingParams:
 
 
 @dataclass(frozen=True)
-class CycleReport:
-    proposed_cycles: int
-    baseline_cycles: int
-    speedup: float
-    case: int
-
-
-@dataclass(frozen=True)
 class LayerSchedule:
     """Per-(output map, input map) group schedules for one transformed layer."""
 
@@ -74,25 +67,24 @@ def build_schedule(filters: np.ndarray, pe_count: int) -> PESchedule:
 
     `filters` is (phases, K, K): the phase filters of one (m, n) pair produced
     by the transform. Taps are taken in descending per-filter-density order and
-    each goes to the currently least-loaded PE, so the depth is exactly
-    ceil(total nonzeros / pe_count).
+    dealt round robin, each to the least-loaded PE (the first one on a tie), so
+    the depth is exactly ceil(total nonzeros / pe_count).
     """
     if pe_count < 1:
         raise ConfigurationError("pe_count must be >= 1")
     filters = np.asarray(filters, dtype=np.float64)
     if filters.ndim != 3 or filters.shape[1] != filters.shape[2]:
         raise ScheduleMismatchError(f"expected (phases, K, K) filters, got {filters.shape}")
-    order = np.argsort([-np.count_nonzero(f) for f in filters], kind="stable")
+    order = np.argsort(-np.count_nonzero(filters, axis=(1, 2)), kind="stable")
+    ordered = filters[order]
+    rank, ys, xs = np.nonzero(ordered)
     triples = [
-        PEInstruction(int(p), (int(y), int(x)), float(filters[p, y, x]))
-        for p in order
-        for y, x in zip(*np.nonzero(filters[p]))
+        PEInstruction(p, (y, x), wt)
+        for p, y, x, wt in zip(order[rank].tolist(), ys.tolist(), xs.tolist(),
+                               ordered[rank, ys, xs].tolist())
     ]
-    streams: list[list[PEInstruction]] = [[] for _ in range(pe_count)]
-    for instr in triples:
-        min(streams, key=len).append(instr)
-    depth = max((len(s) for s in streams), default=0)
-    return PESchedule(pe_count, tuple(tuple(s) for s in streams), depth)
+    streams = tuple(tuple(triples[pe::pe_count]) for pe in range(pe_count))
+    return PESchedule(pe_count, streams, _ceil_div(len(triples), pe_count))
 
 
 def schedule_deconv_layer(layer: DeconvLayerSpec, pe_count: int) -> LayerSchedule:
@@ -112,9 +104,10 @@ def simulate_dclp(x: Tensor3, schedule: LayerSchedule, geometry: TdcGeometry,
                   in_tile: int) -> tuple[Tensor3, int]:
     """Behavioral run of the scheduled PE array over every sliding window.
 
-    Each PE replays its stream against the fetched kernel window, accumulating
-    into the phase buffer named by its instruction's output index. The result
-    must equal the transformed-layer convolution; cycles follow the analytic
+    Every PE instruction adds its weight into the phase filter its output index
+    names; the filters rebuilt that way then run through the conv executor, so
+    a dropped, duplicated or misplaced instruction changes the output, which
+    must equal the transformed-layer convolution. Cycles follow the analytic
     model and are data-independent.
     """
     if geometry != schedule.geometry:
@@ -129,21 +122,33 @@ def simulate_dclp(x: Tensor3, schedule: LayerSchedule, geometry: TdcGeometry,
     s2 = geometry.stride ** 2
     padded = np.zeros((n_in, h + k - 1, w + k - 1))
     padded[:, pb:pb + h, pb:pb + w] = x.data
-    out = np.zeros((conv.out_maps, h, w))
-    for (m, n), group in schedule.groups.items():
-        for stream in group.streams:
-            for instr in stream:
-                y, xx = instr.input_pos
-                out[m * s2 + instr.phase_channel] += (
-                    instr.weight * padded[n, y:y + h, xx:xx + w]
-                )
-    out += conv.bias[:, None, None]
-    cycles = (
-        schedule.depth * h * w
-        * _ceil_div(schedule.in_maps, in_tile)
-        * _ceil_div(s2 * schedule.out_maps, schedule.pe_count)
-    )
+    # flat (phase map, n, y, x) offset of each instruction, streamed into arrays
+    # without a Python list per instruction; bincount sums repeats. The lookups
+    # reject a phase or window position outside the layer instead of aliasing it.
+    kk = k * k
+    phase_offset = {p: p * n_in * kk for p in range(s2)}
+    tap_offset = {(y, xx): y * k + xx for y in range(k) for xx in range(k)}
+    try:
+        index = np.fromiter(
+            ((m * s2 * n_in + n) * kk + phase_offset[i.phase_channel] + tap_offset[i.input_pos]
+             for (m, n), group in schedule.groups.items()
+             for stream in group.streams for i in stream), dtype=np.intp)
+    except KeyError as e:
+        raise ScheduleMismatchError(f"instruction target {e} is outside the layer") from None
+    weight = np.fromiter((i.weight for group in schedule.groups.values()
+                          for stream in group.streams for i in stream), dtype=np.float64)
+    filters = np.bincount(index, weights=weight, minlength=conv.weights.size)
+    filters = filters.reshape(conv.weights.shape)
+    out = conv_taps(padded, filters, conv.bias, tap_map_runs(filters))
+    cycles = _cycles(conv.out_maps, schedule.pe_count, schedule.in_maps, in_tile,
+                     h, w, schedule.depth)
     return Tensor3(out), cycles
+
+
+def _cycles(out_phases: int, out_tile: int, in_maps: int, in_tile: int,
+            h: int, w: int, depth: int) -> int:
+    """Output-phase tiles x input-map tiles x pixels x pipeline depth."""
+    return _ceil_div(out_phases, out_tile) * _ceil_div(in_maps, in_tile) * h * w * depth
 
 
 def cycles_proposed(out_maps: int, in_maps: int, in_h: int, in_w: int,
@@ -155,12 +160,8 @@ def cycles_proposed(out_maps: int, in_maps: int, in_h: int, in_w: int,
     if deconv_kernel < stride:
         raise ConfigurationError("deconv kernel must be >= stride")
     s2 = stride * stride
-    return (
-        _ceil_div(s2 * out_maps, out_tile)
-        * _ceil_div(in_maps, in_tile)
-        * in_h * in_w
-        * _ceil_div(deconv_kernel ** 2, s2)
-    )
+    return _cycles(s2 * out_maps, out_tile, in_maps, in_tile, in_h, in_w,
+                   _ceil_div(deconv_kernel ** 2, s2))
 
 
 def cycles_baseline(out_maps: int, in_maps: int, out_h: int, out_w: int,
@@ -168,12 +169,7 @@ def cycles_baseline(out_maps: int, in_maps: int, out_h: int, out_w: int,
     """Conventional reverse-looping accelerator: full kernel per output pixel."""
     if min(out_maps, in_maps, out_h, out_w, out_tile, in_tile) < 1:
         raise ConfigurationError("all arguments must be >= 1")
-    return (
-        _ceil_div(out_maps, out_tile)
-        * _ceil_div(in_maps, in_tile)
-        * out_h * out_w
-        * deconv_kernel ** 2
-    )
+    return _cycles(out_maps, out_tile, in_maps, in_tile, out_h, out_w, deconv_kernel ** 2)
 
 
 def classify_case(out_maps: int, out_tile: int, stride: int,

@@ -66,20 +66,15 @@ def map_coefficient(geom: TdcGeometry, x_in: int, y_in: int,
 
     Returns (x_d, y_d) or None when the tap is a structural zero.
     """
-    kd, s, kc = geom.deconv_kernel, geom.stride, geom.conv_kernel
+    s, kc = geom.stride, geom.conv_kernel
     if not (0 <= x_in < kc and 0 <= y_in < kc and 0 <= x_out < s and 0 <= y_out < s):
         raise ConfigurationError(
             f"indices out of range: in=({x_in},{y_in}) out=({x_out},{y_out}) "
             f"for conv_kernel {kc}, stride {s}"
         )
-    shift = 1 if geom.overlap_frac_ge_half else 0
-    x_rel = kd + shift - s * x_in
-    y_rel = kd + shift - s * y_in
-    x_d = x_rel - (s - (x_out % s))
-    y_d = y_rel - (s - (y_out % s))
-    if 0 <= x_d < kd and 0 <= y_d < kd:
-        return x_d, y_d
-    return None
+    axis = _axis_map(geom)
+    x_d, y_d = int(axis[x_out, x_in]), int(axis[y_out, y_in])
+    return (x_d, y_d) if x_d >= 0 and y_d >= 0 else None
 
 
 def _axis_map(geom: TdcGeometry) -> np.ndarray:
@@ -121,17 +116,10 @@ def transform_weights(layer: DeconvLayerSpec) -> tuple[ConvLayerSpec, ZeroAnalys
     s, kc = geom.stride, geom.conv_kernel
     m, n = layer.out_maps, layer.in_maps
     axis = _axis_map(geom)
-    wc = np.zeros((s * s * m, n, kc, kc))
-    for yo in range(s):
-        yd = axis[yo]
-        yv = yd >= 0
-        for xo in range(s):
-            xd = axis[xo]
-            xv = xd >= 0
-            phase = s * yo + xo
-            for yi in np.nonzero(yv)[0]:
-                for xi in np.nonzero(xv)[0]:
-                    wc[phase::s * s, :, yi, xi] = layer.weights[:, :, yd[yi], xd[xi]]
+    # a zero tap's index -1 picks the zero row/column padded on at the end
+    padded = np.pad(layer.weights, ((0, 0), (0, 0), (0, 1), (0, 1)))
+    wc = padded[:, :, axis[:, None, :, None], axis[None, :, None, :]]  # m, n, yo, xo, yi, xi
+    wc = wc.transpose(0, 2, 3, 1, 4, 5).reshape(s * s * m, n, kc, kc)
     # channel order is S^2*m + phase: all S^2 phase maps of m carry bias[m]
     bias = np.repeat(layer.bias, s * s)
     conv = conv_layer(kc, s * s * m, n, wc, bias=bias)

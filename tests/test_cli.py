@@ -5,6 +5,7 @@ import pytest
 
 from tdcnet import imageio
 from tdcnet.cli import main
+from tdcnet.errors import ConfigurationError
 
 from conftest import random_weight_doc
 
@@ -149,6 +150,41 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+    @staticmethod
+    def _expect_one_error_line(capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["conv_layers"][0]["weights"].__setitem__(3, float("nan")),
+        lambda d: d["conv_layers"][2]["bias"].__setitem__(0, float("inf")),
+        lambda d: d["conv_layers"][1]["prelu"].__setitem__(0, float("-inf")),
+        lambda d: d["deconv"][0]["weights"].__setitem__(0, float("nan")),
+        lambda d: d["conv_layers"][0].pop("kc"),
+        lambda d: d["deconv"][0].pop("scale"),
+    ], ids=["nan_weight", "inf_bias", "inf_prelu", "nan_deconv", "no_kc", "no_scale"])
+    def test_bad_weight_values(self, capsys, tmp_path, rng, edit):
+        doc = random_weight_doc(rng)
+        edit(doc)
+        weights, src = tmp_path / "w.json", tmp_path / "in.pgm"
+        weights.write_text(json.dumps(doc))
+        imageio.write_image(src, rng.integers(0, 256, (5, 5)).astype(np.uint8))
+        self._expect_one_error_line(capsys, [
+            "infer", "--weights", str(weights), "--scale", "2",
+            "--in", str(src), "--out", str(tmp_path / "out.pgm")])
+        assert not (tmp_path / "out.pgm").exists()
+
+    @pytest.mark.parametrize("header", [b"P5\nab 2\n255\n",
+                                        b"P5\n4000000 4000000\n255\n"])
+    def test_bad_image_header(self, capsys, tmp_path, weight_file, header):
+        src = tmp_path / "bad.pgm"
+        src.write_bytes(header + b"\x00" * 8)
+        self._expect_one_error_line(capsys, [
+            "infer", "--weights", weight_file, "--scale", "2",
+            "--in", str(src), "--out", str(tmp_path / "out.pgm")])
+
+
 class TestInferCli:
     def test_roundtrip(self, capsys, tmp_path, weight_file, rng):
         src = tmp_path / "in.ppm"
@@ -196,6 +232,18 @@ class TestImageIO:
         path = tmp_path / "x.pgm"
         imageio.write_image(path, img)
         assert np.array_equal(imageio.read_image(path), img)
+
+    @pytest.mark.parametrize("content", [
+        b"P5\nab 2\n255\n\x01\x02",            # non-integer width
+        b"P6\n2 -1\n255\n\x01\x02",            # negative height
+        b"P5\n4000000 4000000\n255\n\x01\x02",  # header larger than the file
+        b"P5\n2 2\n255\n\x01\x02\x03",         # one byte short
+    ])
+    def test_bad_header(self, tmp_path, content):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(content)
+        with pytest.raises(ConfigurationError):
+            imageio.read_image(path)
 
     def test_comment_in_header(self, tmp_path):
         path = tmp_path / "c.pgm"

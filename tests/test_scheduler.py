@@ -1,12 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from tdcnet.errors import ConfigurationError, ScheduleMismatchError
 from tdcnet.model import Tensor3
 from tdcnet.reference import conv2d
-from tdcnet.scheduler import (build_schedule, classify_case, cycles_baseline,
-                              cycles_proposed, schedule_deconv_layer,
-                              simulate_dclp)
+from tdcnet.scheduler import (PEInstruction, build_schedule, classify_case,
+                              cycles_baseline, cycles_proposed,
+                              schedule_deconv_layer, simulate_dclp)
 from tdcnet.tdc import derive_geometry, transform_weights
 
 from conftest import random_deconv
@@ -81,6 +83,33 @@ class TestSimulateDclp:
         with pytest.raises(ScheduleMismatchError):
             simulate_dclp(Tensor3(np.zeros((1, 2, 2))), sched,
                           derive_geometry(7, 2), in_tile=1)
+
+
+    @pytest.mark.parametrize("kd,s", [(kd, s) for s in (2, 3, 4) for kd in range(s, 12)])
+    def test_cycles_match_model(self, rng, kd, s):
+        # pe_count = out_tile = S^2: the simulator's depth and tiling are the model's
+        layer = random_deconv(rng, kd, s, lo=1)             # dense weights
+        sched = schedule_deconv_layer(layer, s * s)
+        h, w, tn = 3, 2, int(rng.integers(1, layer.in_maps + 1))
+        x = Tensor3(np.ones((layer.in_maps, h, w)))
+        _, cycles = simulate_dclp(x, sched, sched.geometry, in_tile=tn)
+        assert cycles == cycles_proposed(layer.out_maps, layer.in_maps, h, w,
+                                         kd, s, s * s, tn)
+
+
+    @pytest.mark.parametrize("phase,pos", [(4, (0, 0)), (-1, (0, 0)), (0, (0, 3)),
+                                           (0, (3, 0)), (0, (-1, 0))])
+    def test_instruction_outside_layer(self, rng, phase, pos):
+        layer = random_deconv(rng, 5, 2, m=1, n=1, lo=1)     # kc = 3, 4 phases
+        sched = schedule_deconv_layer(layer, 4)
+        group = sched.groups[(0, 0)]
+        first = group.streams[0][0]
+        streams = ((PEInstruction(phase, pos, first.weight),) + group.streams[0][1:],
+                   *group.streams[1:])
+        bad = dataclasses.replace(
+            sched, groups={(0, 0): dataclasses.replace(group, streams=streams)})
+        with pytest.raises(ScheduleMismatchError):
+            simulate_dclp(Tensor3(np.ones((1, 3, 3))), bad, bad.geometry, in_tile=1)
 
 
 class TestCycleModels:
