@@ -53,28 +53,6 @@ class Tensor3:
     def width(self) -> int:
         return self.data.shape[2]
 
-    @classmethod
-    def from_flat(cls, flat, channels: int, height: int, width: int) -> "Tensor3":
-        flat = np.asarray(flat, dtype=np.float64)
-        if flat.size != channels * height * width:
-            raise DimensionError(
-                f"flat length {flat.size} != {channels}x{height}x{width}"
-            )
-        return cls(flat.reshape(channels, height, width))
-
-    def flat(self) -> np.ndarray:
-        return self.data.reshape(-1)
-
-    @staticmethod
-    def offset_of(c: int, h: int, w: int, height: int, width: int) -> int:
-        return c * height * width + h * width + w
-
-    @staticmethod
-    def index_of(offset: int, height: int, width: int) -> tuple[int, int, int]:
-        c, rest = divmod(offset, height * width)
-        h, w = divmod(rest, width)
-        return c, h, w
-
 
 def tap_map_runs(weights: np.ndarray) -> Optional[tuple[Optional[slice], ...]]:
     """Per tap (ky, kx), the output maps whose (M, N, K, K) weights are not all zero.

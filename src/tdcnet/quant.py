@@ -1,5 +1,5 @@
-"""Signed fixed-point quantization, the quantized forward pass, and the
-double-MAC product decomposition.
+"""Signed fixed-point quantization, the row-block layer executor that runs the
+network in float or fixed point, and the double-MAC product decomposition.
 
 Conventions:
   * round-half-to-even everywhere, saturation at format limits (never wrap);
@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DimensionError
 from .model import ConvLayerSpec, DeconvLayerSpec, NetworkSpec, Tensor3
-from .reference import conv2d, conv_taps, depth_to_space, depth_to_space_array, psnr
+from .reference import conv_rows, conv_taps, depth_to_space_array, psnr
 from .tdc import transform_weights
 
 
@@ -160,41 +160,89 @@ def quantized_conv_rows(qlayer: QuantizedLayer, padded: np.ndarray,
     return np.clip(acc, qa.min_raw, qa.max_raw, out=acc)
 
 
+class _Layer:
+    """One conv layer fed row blocks, the way a line-buffered processor is.
+
+    `run` maps a zero-padded (N, R + K - 1, W + K - 1) block to (M, R, W)
+    outputs (conv_rows in float, quantized_conv_rows in fixed point), and a
+    nonzero `scale` moves the deconv's phases to space afterwards. Between
+    pushes the layer keeps its last K - 1 padded input rows, none for 1x1.
+    """
+
+    def __init__(self, spec: ConvLayerSpec, run, scale: int):
+        self.spec, self.run, self.scale = spec, run, scale
+        self.carry: Optional[np.ndarray] = None
+
+    def push(self, rows: np.ndarray, last: bool) -> Optional[np.ndarray]:
+        """Output rows completed by the next (N, R, W) input rows, or None.
+
+        The first block starts with the top zero padding and the last one
+        (last=True) ends with the bottom padding, so it flushes the layer.
+        """
+        k, pb = self.spec.kernel, self.spec.pad_before
+        n, r, w = rows.shape
+        if n != self.spec.in_maps:
+            raise DimensionError(f"input channels {n} != layer in_maps {self.spec.in_maps}")
+        c = pb if self.carry is None else self.carry.shape[1]
+        block = np.zeros((n, c + r + (self.spec.pad_after if last else 0), w + k - 1),
+                         dtype=rows.dtype)
+        if self.carry is not None:
+            block[:, :c] = self.carry
+        block[:, c:c + r, pb:pb + w] = rows
+        if block.shape[1] < k:
+            self.carry = block
+            return None
+        self.carry = block[:, block.shape[1] - (k - 1):].copy()
+        out = self.run(block)
+        return depth_to_space_array(out, self.scale) if self.scale else out
+
+
+def _layers(net: Optional[NetworkSpec], qnet: Optional[QuantizedNetwork] = None) -> list[_Layer]:
+    """Executor layers of the float chain of `net`, or of the fixed chain of `qnet`."""
+    if qnet is not None:
+        return [_Layer(q.spec, lambda b, q=q: quantized_conv_rows(q, b, qnet), q.depth_to_space)
+                for q in qnet.layers]
+    return [_Layer(c, lambda b, c=c: conv_rows(b, c), dts) for c, dts in _inference_convs(net)]
+
+
+def _forward(layers: list[_Layer], x: np.ndarray, rows: Optional[int] = None,
+             trace: Optional[list] = None) -> np.ndarray:
+    """Push (C, H, W) input through the layers `rows` rows at a time and return
+    the last layer's output. rows=None (the whole plane) is batch inference,
+    rows=1 emulates the streaming line buffers; conv_taps makes them agree bit
+    for bit. `trace`, for whole-plane runs, receives every layer's output."""
+    if x.ndim != 3 or min(x.shape) < 1:
+        raise DimensionError(f"expected non-empty (C, H, W) input, got shape {x.shape}")
+    h = x.shape[1]
+    step = rows or h
+    out = []
+    for r in range(0, h, step):
+        cur = x[:, r:r + step]
+        for layer in layers:
+            cur = layer.push(cur, r + step >= h)
+            if cur is None:
+                break
+            if trace is not None:
+                trace.append(cur)
+        else:
+            out.append(cur)
+    return out[0] if len(out) == 1 else np.concatenate(out, axis=1)
+
+
 def quantized_forward(qnet: QuantizedNetwork, x_raw: np.ndarray,
                       collect: bool = False):
     """Run the integer chain on raw input (C, H, W); returns raw output
     (and per-layer raw activations when collect=True)."""
-    cur = np.asarray(x_raw, dtype=np.int64)
-    trace = []
-    for qlayer in qnet.layers:
-        conv = qlayer.spec
-        if cur.shape[0] != conv.in_maps:
-            raise DimensionError(
-                f"input channels {cur.shape[0]} != layer in_maps {conv.in_maps}"
-            )
-        k, pb = conv.kernel, conv.pad_before
-        n, h, w = cur.shape
-        padded = np.zeros((n, h + k - 1, w + k - 1), dtype=np.int64)
-        padded[:, pb:pb + h, pb:pb + w] = cur
-        cur = quantized_conv_rows(qlayer, padded, qnet)
-        if qlayer.depth_to_space:
-            cur = depth_to_space_array(cur, qlayer.depth_to_space)
-        if collect:
-            trace.append(cur)
-    return (cur, trace) if collect else cur
+    trace = [] if collect else None
+    out = _forward(_layers(None, qnet), np.asarray(x_raw, dtype=np.int64), trace=trace)
+    return (out, trace) if collect else out
 
 
 def float_forward(net: NetworkSpec, x: Tensor3, collect: bool = False):
     """Float reference chain matching quantized_forward's structure."""
-    cur = x
-    trace = []
-    for conv, dts in _inference_convs(net):
-        cur = conv2d(cur, conv)
-        if dts:
-            cur = depth_to_space(cur, dts)
-        if collect:
-            trace.append(cur)
-    return (cur, trace) if collect else cur
+    trace = [] if collect else None
+    out = Tensor3(_forward(_layers(net), x.data, trace=trace))
+    return (out, [Tensor3(t) for t in trace]) if collect else out
 
 
 def fixed_point_error_bound(net: NetworkSpec, qnet: QuantizedNetwork,

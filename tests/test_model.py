@@ -12,21 +12,6 @@ from conftest import random_weight_doc
 
 
 class TestTensor3:
-    def test_flat_roundtrip(self, rng):
-        t = Tensor3(rng.normal(size=(3, 4, 5)))
-        assert np.array_equal(Tensor3.from_flat(t.flat(), 3, 4, 5).data, t.data)
-
-    def test_offset_index_bijection(self):
-        h, w, c = 4, 5, 3
-        seen = set()
-        for cc in range(c):
-            for hh in range(h):
-                for ww in range(w):
-                    off = Tensor3.offset_of(cc, hh, ww, h, w)
-                    assert Tensor3.index_of(off, h, w) == (cc, hh, ww)
-                    seen.add(off)
-        assert seen == set(range(c * h * w))
-
     def test_immutable(self, rng):
         t = Tensor3(rng.normal(size=(1, 2, 2)))
         with pytest.raises(ValueError):
@@ -35,8 +20,6 @@ class TestTensor3:
     def test_bad_shape(self):
         with pytest.raises(DimensionError):
             Tensor3(np.zeros((2, 2)))
-        with pytest.raises(DimensionError):
-            Tensor3.from_flat(np.zeros(5), 1, 2, 3)
 
 
 class TestLayerSpecs:

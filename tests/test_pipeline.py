@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from tdcnet.errors import ConfigurationError
+from tdcnet.errors import ConfigurationError, DimensionError
 from tdcnet.model import NetworkSpec, Tensor3, conv_layer
 from tdcnet.pipeline import StreamStats, infer, infer_streaming
-from tdcnet.quant import QFormat, _inference_convs
+from tdcnet.quant import (QFormat, _inference_convs, quantize_array,
+                          quantize_network, quantized_conv_rows, quantized_forward)
 from tdcnet.reference import (bicubic_upscale_plane, conv2d, depth_to_space,
-                              rgb_to_ycbcr, ycbcr_to_rgb)
+                              depth_to_space_array, rgb_to_ycbcr, ycbcr_to_rgb)
 
 from conftest import random_net
 
@@ -19,17 +22,38 @@ class TestInfer:
         img = rng.integers(0, 256, (5, 7)).astype(np.uint8)
         assert np.array_equal(infer(img, net, 1), img)
 
-    def test_matches_manual_composition(self, rng):
-        net = random_net(rng, scale=2, kd=5, depth=2)
-        img = rng.integers(0, 256, (8, 8)).astype(np.uint8)
-        out = infer(img, net, 2)
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), scale=st.integers(2, 4),
+           h=st.integers(1, 6), w=st.integers(1, 6))
+    @example(seed=0, scale=2, h=1, w=1)
+    @example(seed=1, scale=3, h=1, w=6)
+    @example(seed=2, scale=4, h=6, w=1)
+    def test_matches_manual_composition(self, seed, scale, h, w):
+        # an independent whole-plane chain: explicit padding, no row blocks
+        rng = np.random.default_rng(seed)
+        net = random_net(rng, scale=scale)
+        img = rng.integers(0, 256, (h, w)).astype(np.uint8)
         cur = Tensor3((img.astype(np.float64) / 255.0)[None])
         for conv, dts in _inference_convs(net):
             cur = conv2d(cur, conv)
             if dts:
                 cur = depth_to_space(cur, dts)
         manual = np.clip(np.rint(cur.data[0] * 255.0), 0, 255).astype(np.uint8)
-        assert np.array_equal(out, manual)
+        assert np.array_equal(infer(img, net, scale), manual)
+        assert np.array_equal(infer_streaming(img, net, scale), manual)
+
+        qnet = quantize_network(net, Q13, Q13)
+        x_raw = quantize_array(img / 255.0, Q13)[None]
+        raw = x_raw
+        for q in qnet.layers:
+            pb, pa = q.spec.pad_before, q.spec.pad_after
+            raw = quantized_conv_rows(q, np.pad(raw, ((0, 0), (pb, pa), (pb, pa))), qnet)
+            if q.depth_to_space:
+                raw = depth_to_space_array(raw, q.depth_to_space)
+        assert np.array_equal(quantized_forward(qnet, x_raw), raw)
+        manual = np.clip(np.rint(raw[0] * Q13.step * 255.0), 0, 255).astype(np.uint8)
+        for run in (infer, infer_streaming):
+            assert np.array_equal(run(img, net, scale, mode="fixed"), manual)
 
     def test_rgb_chroma_path(self, rng):
         net = random_net(rng, scale=2, depth=1)
@@ -49,6 +73,15 @@ class TestInfer:
     def test_requires_uint8(self, rng):
         with pytest.raises(ConfigurationError):
             infer(np.zeros((4, 4)), random_net(rng, scale=2), 2)
+
+    @pytest.mark.parametrize("shape", [(0, 5), (4, 0), (0, 0, 3)])
+    def test_empty_image(self, rng, shape):
+        # one error for both modes and both drivers, as for any bad shape
+        net = random_net(rng, scale=2)
+        for run in (infer, infer_streaming):
+            for mode in ("float", "fixed"):
+                with pytest.raises(DimensionError):
+                    run(np.zeros(shape, dtype=np.uint8), net, 2, mode=mode)
 
     def test_output_dimensions(self, rng):
         for s in (2, 3):
