@@ -3,7 +3,8 @@ network in float or fixed point, and the double-MAC product decomposition.
 
 Conventions:
   * round-half-to-even everywhere, saturation at format limits (never wrap);
-  * MACs accumulate in wide integers at scale 2^(wf + af) and are requantized
+  * MACs accumulate exactly at scale 2^(wf + af), in float64 BLAS matmuls
+    while every sum stays below 2^53, else in int64, and are requantized
     to the activation format exactly once per layer output, after bias and
     activation (the default; a per-value truncating mode is not provided);
   * biases are quantized in the weight format and shifted into the accumulator
@@ -12,6 +13,7 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -98,6 +100,40 @@ class QuantizedLayer:
     prelu_raw: Optional[np.ndarray]     # int64 (M,) at weight scale
     depth_to_space: int                 # 0 for plain conv, else the deconv scale
 
+    @cached_property
+    def stacked_weights(self) -> Optional[np.ndarray]:
+        """(M, N*K*K) float64 weights in (n, ky, kx) order when the layer's BLAS
+        contraction is one matmul over its stacked tap windows, else None.
+
+        That is when the stack costs no more memory than the per-tap path's
+        (M, .) product scratch: it is the block itself for K = 1, and a copy
+        of N*K*K rows, no more than M, otherwise.
+        """
+        m, n, k, _ = self.weights_raw.shape
+        if k > 1 and n * k * k > m:
+            return None
+        return np.ascontiguousarray(self.weights_raw.reshape(m, -1), dtype=np.float64)
+
+    @cached_property
+    def tap_matrices(self) -> tuple[tuple[slice, Optional[np.ndarray]], ...]:
+        """Per tap (ky, kx): the output maps `spec.tap_maps` keeps there and
+        their (M_live, N) weights as one contiguous float64 matrix (None when
+        no map is live), for the per-tap BLAS contraction. A float zero
+        quantizes to zero, so the float spec's live maps cover the codes'."""
+        k = self.spec.kernel
+        taps = []
+        for t, sl in enumerate(self.spec.tap_maps or (None,) * (k * k)):
+            sl = slice(None) if sl is None else sl
+            wt = self.weights_raw[sl, :, t // k, t % k]
+            taps.append((sl, np.ascontiguousarray(wt, dtype=np.float64) if len(wt) else None))
+        return tuple(taps)
+
+    @cached_property
+    def abs_bounds(self) -> tuple[int, int]:
+        """(max over maps m of sum |weights_raw[m]|, max |bias_raw|) as exact ints."""
+        l1 = np.abs(self.weights_raw).sum(axis=(1, 2, 3))
+        return int(l1.max()), int(np.abs(self.bias_raw).max())
+
 
 @dataclass(frozen=True)
 class QuantizedNetwork:
@@ -134,19 +170,70 @@ def quantize_network(net: NetworkSpec, q_weights: QFormat,
     return QuantizedNetwork(tuple(layers), qw, qa)
 
 
+def _blas_sums(qlayer: QuantizedLayer, padded: np.ndarray) -> np.ndarray:
+    """Bias plus the convolution of integer codes in float64 BLAS matmuls,
+    returned as an int64 (M, R, W) view. Exact only under the 2**53 guard.
+
+    The (N, R + K - 1, Wp) block is read as (N, (R + K - 1) * Wp): the window of
+    tap (ky, kx) is then the 2-D slice starting at ky * Wp + kx, R * Wp - (K - 1)
+    long, which BLAS reads in place. Each row of that slice also holds K - 1
+    wrap-around columns, computed and then dropped. With `stacked_weights`,
+    one matmul contracts all taps at once over the K*K windows stacked;
+    otherwise one matmul per tap runs over the maps `tap_maps` keeps there,
+    into a scratch added to the sums. The sums become int64 in place.
+    """
+    k, m = qlayer.spec.kernel, qlayer.spec.out_maps
+    n, rows, wp = padded.shape
+    r, w = rows - (k - 1), wp - (k - 1)
+    flat = np.ascontiguousarray(padded, dtype=np.float64).reshape(n, rows * wp)
+    span = r * wp - (k - 1)
+    offsets = [ky * wp + kx for ky in range(k) for kx in range(k)]
+    acc = np.empty((m, r * wp))
+    if qlayer.stacked_weights is not None:
+        stack = flat if k == 1 else np.stack([flat[:, o:o + span] for o in offsets], axis=1)
+        np.matmul(qlayer.stacked_weights, stack.reshape(-1, span), out=acc[:, :span])
+        acc[:, span:] = 0
+        acc += qlayer.bias_raw[:, None]
+    else:
+        acc[:] = qlayer.bias_raw[:, None]
+        tmp = np.empty((m, span))
+        for o, (maps, wt) in zip(offsets, qlayer.tap_matrices):
+            if wt is not None:
+                prod = tmp[:len(wt)]
+                np.matmul(wt, flat[:, o:o + span], out=prod)
+                acc[maps, :span] += prod
+    flat_acc = acc.reshape(-1)
+    # 1-D onto its own buffer, copyto converts in place (a 2-D source is copied first)
+    np.copyto(flat_acc.view(np.int64), flat_acc, casting="unsafe")
+    return flat_acc.view(np.int64).reshape(m, r, wp)[:, :, :w]
+
+
 def quantized_conv_rows(qlayer: QuantizedLayer, padded: np.ndarray,
                         qnet: QuantizedNetwork) -> np.ndarray:
     """Integer conv over a horizontally+vertically padded raw input block.
 
-    `padded` is (N, R + K - 1, W + K - 1) int64; returns (M, R, W) raw
-    activations. Shared by the batch and streaming paths so they agree bitwise.
-    The epilogue works in place with one int64 and one int8 scratch array,
-    so it needs little more memory than conv_taps itself; it uses no masked
-    (`where=`) ufuncs, which run an order of magnitude slower on int64.
+    `padded` is (N, R + K - 1, W + K - 1) codes of the activation format, held
+    in int64 or float64 (the layer executor builds float64 blocks); returns
+    (M, R, W) int64 raw activations. Shared by the batch and streaming paths
+    so they agree bitwise.
+
+    The sums are exact integers on both of its paths. Every partial sum, in
+    any order, is at most max_m sum |w[m]| * 2**(bits - 1) + max |bias| in
+    magnitude, as no code exceeds 2**(bits - 1). When that bound is below
+    2**53, float64 holds every partial sum exactly, so the BLAS matmuls of
+    _blas_sums give the same integers as any order would. Otherwise (wide
+    formats) the block runs as int64 through the ordered conv_taps loop.
+    The epilogue works in place with one int64 and one int8 scratch array;
+    it uses no masked (`where=`) ufuncs, which run an order of magnitude
+    slower on int64.
     """
     bits, qa = qnet.q_weights.frac_bits, qnet.q_activations
-    # a float zero quantizes to zero, so the float spec's live maps cover these
-    acc = conv_taps(padded, qlayer.weights_raw, qlayer.bias_raw, qlayer.spec.tap_maps)
+    l1, b = qlayer.abs_bounds
+    if (l1 << (qa.total_bits - 1)) + b < 1 << 53:
+        acc = _blas_sums(qlayer, padded)
+    else:
+        acc = conv_taps(np.asarray(padded, dtype=np.int64), qlayer.weights_raw,
+                        qlayer.bias_raw, qlayer.spec.tap_maps)
     odd = np.empty(acc.shape, dtype=np.int8)
     if qlayer.prelu_raw is not None:
         # v >= 0 passes and v < 0 becomes round(v * slope); since round(0) = 0,
@@ -165,8 +252,9 @@ class _Layer:
 
     `run` maps a zero-padded (N, R + K - 1, W + K - 1) block to (M, R, W)
     outputs (conv_rows in float, quantized_conv_rows in fixed point), and a
-    nonzero `scale` moves the deconv's phases to space afterwards. Between
-    pushes the layer keeps its last K - 1 padded input rows, none for 1x1.
+    nonzero `scale` moves the deconv's phases to space afterwards. Blocks are
+    float64 in both modes; fixed-point codes (at most 2**31) are exact in it.
+    Between pushes the layer keeps its last K - 1 padded input rows, none for 1x1.
     """
 
     def __init__(self, spec: ConvLayerSpec, run, scale: int):
@@ -184,8 +272,7 @@ class _Layer:
         if n != self.spec.in_maps:
             raise DimensionError(f"input channels {n} != layer in_maps {self.spec.in_maps}")
         c = pb if self.carry is None else self.carry.shape[1]
-        block = np.zeros((n, c + r + (self.spec.pad_after if last else 0), w + k - 1),
-                         dtype=rows.dtype)
+        block = np.zeros((n, c + r + (self.spec.pad_after if last else 0), w + k - 1))
         if self.carry is not None:
             block[:, :c] = self.carry
         block[:, c:c + r, pb:pb + w] = rows
@@ -232,9 +319,18 @@ def _forward(layers: list[_Layer], x: np.ndarray, rows: Optional[int] = None,
 def quantized_forward(qnet: QuantizedNetwork, x_raw: np.ndarray,
                       collect: bool = False):
     """Run the integer chain on raw input (C, H, W); returns raw output
-    (and per-layer raw activations when collect=True)."""
+    (and per-layer raw activations when collect=True).
+
+    Every input code must lie in the activation format: the exactness guard
+    of quantized_conv_rows and fixed_point_error_bound both assume it.
+    """
+    qa = qnet.q_activations
+    raw = np.asarray(x_raw)
+    if raw.size and (raw.min() < qa.min_raw or raw.max() > qa.max_raw):
+        raise ConfigurationError(
+            f"raw input codes must lie in [{qa.min_raw}, {qa.max_raw}] of {qa}")
     trace = [] if collect else None
-    out = _forward(_layers(None, qnet), np.asarray(x_raw, dtype=np.int64), trace=trace)
+    out = _forward(_layers(None, qnet), np.asarray(raw, dtype=np.int64), trace=trace)
     return (out, trace) if collect else out
 
 

@@ -3,7 +3,8 @@
 These are the ground truth the transformed/scheduled/quantized paths are checked
 against. Per-pixel summation order is fixed (input map outer, kernel row, kernel
 column inner) so results are bit-identical across runs regardless of layout.
-`conv_taps`, the one conv executor, runs the integer layers of `quant` too.
+`conv_taps`, the ordered conv executor, also runs the integer layers of `quant`
+whose formats are too wide for its exact float64 BLAS path.
 """
 from __future__ import annotations
 
@@ -124,16 +125,6 @@ def depth_to_space_array(a: np.ndarray, scale: int) -> np.ndarray:
 def depth_to_space(t: Tensor3, scale: int) -> Tensor3:
     """depth_to_space_array on a Tensor3."""
     return Tensor3(depth_to_space_array(t.data, scale))
-
-
-def space_to_depth(t: Tensor3, scale: int) -> Tensor3:
-    """Inverse of depth_to_space."""
-    s = scale
-    m, h, w = t.data.shape
-    if h % s != 0 or w % s != 0:
-        raise DimensionError(f"spatial size {h}x{w} not divisible by scale {s}")
-    blocks = t.data.reshape(m, h // s, s, w // s, s).transpose(0, 2, 4, 1, 3)
-    return Tensor3(blocks.reshape(m * s * s, h // s, w // s))
 
 
 def prelu(t: Tensor3, slopes) -> Tensor3:

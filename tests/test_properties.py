@@ -1,8 +1,12 @@
-"""Property tests: the shared conv executor against an independent
+"""Property tests: the shared conv executor and the fixed-point layer (both
+its BLAS contraction and its int64 fallback) against an independent
 sliding-window reference (dense and skipping zero maps), the transform against
-the canvas oracle, the DCLP simulator against faulty schedules, and streaming
-against batch inference."""
+the canvas oracle, the DCLP simulator against faulty schedules, streaming
+against batch inference, and the weight-file and PNM round trips."""
 import dataclasses
+import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -10,8 +14,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from tdcnet.model import Tensor3, tap_map_runs
+from tdcnet import quant
+from tdcnet.imageio import read_image, write_image
+from tdcnet.model import (DeconvLayerSpec, FsrcnnConfig, Tensor3, WeightSet, _conv_shapes,
+                          conv_layer, parse_weights, save_weights, tap_map_runs)
 from tdcnet.pipeline import infer, infer_streaming
+from tdcnet.quant import QFormat, QuantizedLayer, QuantizedNetwork, quantized_conv_rows
 from tdcnet.reference import conv2d, conv_taps
 from tdcnet.scheduler import PEInstruction, schedule_deconv_layer, simulate_dclp
 from tdcnet.tdc import deconv_oracle, deconv_via_transform
@@ -83,6 +91,103 @@ def test_conv_taps_skips_zero_maps(block, dtype, kinds, seed):
     got = conv_taps(padded, weights, bias, plan)
     assert got.dtype == dtype
     assert np.array_equal(got, conv_windows(padded, weights, bias))
+
+
+def _rshift_even(v, bits):
+    """v / 2**bits rounded half to even, from quotient and remainder."""
+    if bits == 0:
+        return v
+    q, rem, half = v >> bits, v & ((1 << bits) - 1), 1 << (bits - 1)
+    return q + ((rem > half) | ((rem == half) & (q % 2 == 1)))
+
+
+def quantized_windows(padded, ql: QuantizedLayer, qnet: QuantizedNetwork):
+    """quantized_conv_rows as conv_windows in int64 and the epilogue written out."""
+    bits, qa = qnet.q_weights.frac_bits, qnet.q_activations
+    acc = conv_windows(padded.astype(np.int64), ql.weights_raw, ql.bias_raw)
+    if ql.prelu_raw is not None:
+        acc = np.where(acc < 0, _rshift_even(acc * ql.prelu_raw[:, None, None], bits), acc)
+    return np.clip(_rshift_even(acc, bits), qa.min_raw, qa.max_raw)
+
+
+def int_layer(weights, bias, prelu, qw: QFormat, qa: QFormat):
+    """A one-layer QuantizedNetwork over raw codes; its float spec carries the
+    same zeros, so its tap_maps plan is the codes' plan."""
+    m, n, k, _ = weights.shape
+    spec = conv_layer(k, m, n, weights.astype(np.float64))
+    ql = QuantizedLayer(spec, weights, np.asarray(bias, dtype=np.int64), prelu, 0)
+    return ql, QuantizedNetwork((ql,), qw, qa)
+
+
+@st.composite
+def int_layers(draw):
+    """Raw codes of a layer and an in-format block, often at the format
+    extremes, in formats on both sides of the 2**53 guard, with some (map,
+    tap) weights zeroed. Formats stay within 56 bits and PReLU slopes small
+    enough that the int64 reference cannot overflow."""
+    # M >= N*K*K runs as one matmul over the stacked windows, else one per tap
+    m, n = draw(st.integers(1, 4) | st.sampled_from([9, 26])), draw(st.integers(1, 4))
+    k = draw(st.sampled_from([1, 3, 5]))
+    r, w = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    tw = draw(st.integers(2, 32))
+    ta = draw(st.integers(2, min(32, 56 - tw)))
+    qw = QFormat(tw, draw(st.integers(0, tw - 1)))
+    qa = QFormat(ta, draw(st.integers(0, ta - 1)))
+    share = draw(st.sampled_from([0.0, 0.5, 1.0]))       # of codes at an extreme
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def codes(q, shape, lo=None, hi=None):
+        lo, hi = q.min_raw if lo is None else lo, q.max_raw if hi is None else hi
+        a = rng.integers(lo, hi + 1, shape)
+        at = rng.random(shape) < share
+        a[at] = rng.choice([lo, hi], shape)[at]
+        return a
+
+    weights = codes(qw, (m, n, k, k))
+    for t in range(k * k):
+        kind = draw(st.sampled_from(["all", "none", "run", "irregular"]))
+        weights[~_live_pattern(rng, m, kind), :, t // k, t % k] = 0
+    bias = codes(qw, m) << qa.frac_bits
+    prelu = None
+    if draw(st.booleans()):
+        bound = int(np.abs(weights).sum(axis=(1, 2, 3)).max()) * -qa.min_raw + int(
+            np.abs(bias).max())
+        prelu = codes(qw, m, 0, min(qw.max_raw, 2 ** 62 // max(bound, 1)))
+    padded = codes(qa, (n, r + k - 1, w + k - 1))
+    return (*int_layer(weights, bias, prelu, qw, qa), padded)
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_layers(), st.sampled_from([np.int64, np.float64]))
+def test_quantized_conv_rows_matches_windows(case, dtype):
+    ql, qnet, padded = case
+    got = quantized_conv_rows(ql, padded.astype(dtype), qnet)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, quantized_windows(padded, ql, qnet))
+
+
+@pytest.mark.parametrize("k", [1, 3])        # one stacked matmul; one matmul per tap
+@pytest.mark.parametrize("w, bias, qw, qa, blas", [
+    # bound 2**53 - 1: the BLAS path
+    (2 ** 27 - 1, 1 - 2 ** 26, QFormat(29, 27), QFormat(27, 0), True),
+    # bound and true sum -(2**53 + 1): the int64 loop
+    (2 ** 27, -1, QFormat(29, 27), QFormat(27, 0), False),
+    # 2**53 + 2**22 + 1 would round to even in float64, visibly after >> 23
+    (-2 ** 22, 2 ** 22 + 1, QFormat(24, 23), QFormat(32, 0), False),
+])
+def test_quantized_conv_rows_guard_edge(monkeypatch, k, w, bias, qw, qa, blas):
+    # the bound is max_m sum |w| * 2**(bits - 1) + max |bias|; with one nonzero
+    # (centre) weight and every input at the largest code magnitude, the true
+    # sum reaches it
+    weights = np.zeros((1, 1, k, k), dtype=np.int64)
+    weights[0, 0, k // 2, k // 2] = w
+    ql, qnet = int_layer(weights, [bias], None, qw, qa)
+    padded = np.full((1, k, k), qa.min_raw)
+    loops = []
+    monkeypatch.setattr(quant, "conv_taps", lambda *a: loops.append(1) or conv_taps(*a))
+    got = quantized_conv_rows(ql, padded.astype(np.float64), qnet)
+    assert (not loops) == blas
+    assert np.array_equal(got, quantized_windows(padded, ql, qnet))
 
 
 @settings(max_examples=60, deadline=None)
@@ -164,3 +269,68 @@ def test_streaming_equals_batch(mode, seed, scale, h, w):
     img = rng.integers(0, 256, (h, w)).astype(np.uint8)
     assert np.array_equal(infer_streaming(img, net, scale, mode=mode),
                           infer(img, net, scale, mode=mode))
+
+
+@st.composite
+def weight_sets(draw):
+    """A WeightSet of random shape, its values normal draws with some
+    hypothesis floats (zeros, subnormals, extremes) scattered in."""
+    scales = draw(st.sets(st.integers(2, 4), min_size=1))
+    cfg = FsrcnnConfig(draw(st.integers(1, 4)), draw(st.integers(1, 3)),
+                       draw(st.integers(0, 2)), draw(st.integers(max(scales), 6)), scales)
+    special = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def values(shape):
+        a = rng.normal(0, 0.3, shape)
+        for v in special:
+            a.flat[rng.integers(a.size)] = v
+        return a
+
+    convs = tuple(conv_layer(k, m, n, values((m, n, k, k)), values(m),
+                             values(m) if draw(st.booleans()) else None)
+                  for k, m, n in _conv_shapes(cfg))
+    kd = cfg.deconv_kernel
+    deconvs = {s: DeconvLayerSpec(kd, s, 1, cfg.x, values((1, cfg.x, kd, kd)), values(1))
+               for s in scales}
+    return WeightSet(cfg, tuple(f"c{i}" for i in range(len(convs))), convs, deconvs)
+
+
+def _same_bits(a, b) -> bool:
+    return (a is None and b is None) or (
+        a is not None and b is not None and a.shape == b.shape and a.tobytes() == b.tobytes())
+
+
+@settings(max_examples=40, deadline=None)
+@given(weight_sets())
+def test_weight_file_round_trip(ws):
+    back = parse_weights(json.loads(json.dumps(save_weights(ws))))
+    assert back.config == ws.config and back.conv_names == ws.conv_names
+    for a, b in zip(back.conv_layers, ws.conv_layers, strict=True):
+        assert (a.kernel, a.out_maps, a.in_maps, a.pad_before, a.pad_after) == (
+            b.kernel, b.out_maps, b.in_maps, b.pad_before, b.pad_after)
+        assert all(_same_bits(getattr(a, f), getattr(b, f))
+                   for f in ("weights", "bias", "prelu_slope"))
+    assert back.deconv_by_scale.keys() == ws.deconv_by_scale.keys()
+    for s, b in ws.deconv_by_scale.items():
+        a = back.deconv_by_scale[s]
+        assert (a.kernel, a.scale, a.out_maps, a.in_maps) == (b.kernel, b.scale,
+                                                              b.out_maps, b.in_maps)
+        assert _same_bits(a.weights, b.weights) and _same_bits(a.bias, b.bias)
+
+
+@settings(max_examples=40, deadline=None)
+@given(h=st.integers(1, 9), w=st.integers(1, 9), rgb=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(h=1, w=1, rgb=False, seed=0)
+@example(h=1, w=7, rgb=True, seed=1)
+@example(h=7, w=1, rgb=False, seed=2)
+def test_pnm_round_trip(h, w, rgb, seed):
+    img = np.random.default_rng(seed).integers(0, 256, (h, w, 3) if rgb else (h, w),
+                                               dtype=np.uint8)
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "img.ppm" if rgb else "img.pgm")
+        write_image(path, img)
+        back = read_image(path)
+    assert back.dtype == np.uint8 and back.shape == img.shape
+    assert back.tobytes() == img.tobytes()

@@ -92,6 +92,15 @@ class TestQuantizedForward:
                                     np.full((1, 3, 3), 7, dtype=np.int64))
             assert not out.any()
 
+    def test_rejects_codes_outside_the_activation_format(self):
+        # int64 products of such codes would wrap: 2**62 * 0.5 returned 0
+        qnet = quantize_network(NetworkSpec((conv_layer(1, 1, 1, [[[[0.5]]]]),)), Q13, Q13)
+        for bad in (2 ** 62, Q13.max_raw + 1, Q13.min_raw - 1):
+            with pytest.raises(ConfigurationError, match=r"\[-4096, 4095\]"):
+                quantized_forward(qnet, np.array([[[0, bad]]]))
+        out = quantized_forward(qnet, np.array([[[Q13.min_raw, Q13.max_raw]]]))
+        assert out.tolist() == [[[-2048, 2048]]]
+
     def test_error_within_self_computed_bound(self, rng):
         for _ in range(5):
             net = random_net(rng)

@@ -8,7 +8,7 @@ from tdcnet.model import DeconvLayerSpec, Tensor3, conv_layer
 from tdcnet.reference import (bicubic_upscale, bicubic_upscale_plane,
                               canvas_window, conv2d, deconv2d_canvas,
                               depth_to_space, prelu, psnr, rgb_to_ycbcr,
-                              space_to_depth, ycbcr_to_rgb)
+                              ycbcr_to_rgb)
 
 from conftest import random_deconv
 
@@ -133,10 +133,6 @@ class TestDepthToSpace:
     def test_s1_identity(self, rng):
         t = Tensor3(rng.normal(size=(3, 2, 2)))
         assert np.array_equal(depth_to_space(t, 1).data, t.data)
-
-    def test_inverse(self, rng):
-        t = Tensor3(rng.normal(size=(9, 2, 3)))
-        assert np.array_equal(space_to_depth(depth_to_space(t, 3), 3).data, t.data)
 
     def test_channel_divisibility(self):
         with pytest.raises(DimensionError):
