@@ -15,9 +15,8 @@ from .quant import (QFormat, QuantizedLayer, QuantizedNetwork,
                     double_mac_product, fixed_point_error_bound,
                     quantize_array, quantize_network, quantize_value,
                     quantized_forward, round_half_even_rshift, sweep_bitwidth)
-from .scheduler import (LayerSchedule, PEInstruction, PESchedule,
-                        TilingParams, build_schedule, classify_case,
-                        cycles_baseline, cycles_proposed,
+from .scheduler import (LayerSchedule, PESchedule, TilingParams,
+                        classify_case, cycles_baseline, cycles_proposed,
                         schedule_deconv_layer, simulate_dclp)
 from .tdc import (TdcGeometry, ZeroAnalysis, deconv_oracle,
                   deconv_via_transform, derive_geometry, find_crop_offset,
@@ -28,18 +27,18 @@ __version__ = "0.1.0"
 __all__ = [
     "ClpLayerPlan", "ClpPlan", "ConfigurationError", "ConvLayerSpec",
     "DeconvLayerSpec", "DimensionError", "FsrcnnConfig",
-    "InternalConsistencyError", "LayerSchedule", "NetworkSpec", "PEInstruction",
-    "PESchedule", "QFormat", "QuantizedLayer", "QuantizedNetwork",
-    "ResourceReport", "ScheduleMismatchError", "StreamStats", "TdcGeometry",
-    "TdcnetError", "Tensor3", "TilingParams", "WeightFormatError", "WeightSet",
-    "bram_count", "build_fsrcnn", "build_schedule", "classify_case",
-    "conv_layer", "ctt_ratio", "cycles_baseline", "cycles_proposed",
-    "deconv_oracle", "deconv_via_transform", "derive_geometry",
-    "double_mac_product", "dsp_count", "find_crop_offset",
-    "fixed_point_error_bound", "infer", "infer_streaming", "load_weights",
-    "map_coefficient", "multiply_count", "parse_weights", "plan_dataflow",
-    "quantize_array", "quantize_network", "quantize_value",
-    "quantized_forward", "resource_report", "round_half_even_rshift",
-    "same_padding", "save_weights", "schedule_deconv_layer", "search_models",
-    "simulate_dclp", "sweep_bitwidth", "transform_weights", "zero_analysis",
+    "InternalConsistencyError", "LayerSchedule", "NetworkSpec", "PESchedule",
+    "QFormat", "QuantizedLayer", "QuantizedNetwork", "ResourceReport",
+    "ScheduleMismatchError", "StreamStats", "TdcGeometry", "TdcnetError",
+    "Tensor3", "TilingParams", "WeightFormatError", "WeightSet", "bram_count",
+    "build_fsrcnn", "classify_case", "conv_layer", "ctt_ratio",
+    "cycles_baseline", "cycles_proposed", "deconv_oracle",
+    "deconv_via_transform", "derive_geometry", "double_mac_product",
+    "dsp_count", "find_crop_offset", "fixed_point_error_bound", "infer",
+    "infer_streaming", "load_weights", "map_coefficient", "multiply_count",
+    "parse_weights", "plan_dataflow", "quantize_array", "quantize_network",
+    "quantize_value", "quantized_forward", "resource_report",
+    "round_half_even_rshift", "same_padding", "save_weights",
+    "schedule_deconv_layer", "search_models", "simulate_dclp",
+    "sweep_bitwidth", "transform_weights", "zero_analysis",
 ]

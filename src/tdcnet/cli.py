@@ -162,8 +162,7 @@ def _cmd_schedule(args, argv):
     ls = scheduler.schedule_deconv_layer(layer, pes)
     sched = ls.groups[(0, 0)]
     streams = [
-        [{"phase": i.phase_channel, "pos": list(i.input_pos), "weight": i.weight}
-         for i in stream]
+        [{"phase": p, "pos": [y, x], "weight": wt} for _, _, _, p, y, x, wt in stream.tolist()]
         for stream in sched.streams
     ]
     _emit(args, argv, {

@@ -276,15 +276,6 @@ class WeightSet:
             )
         return NetworkSpec(self.conv_layers + (self.deconv_by_scale[scale],))
 
-    @classmethod
-    def from_network(cls, net: NetworkSpec, cfg: FsrcnnConfig) -> "WeightSet":
-        convs = net.conv_layers
-        dec = net.deconv
-        if dec is None:
-            raise ConfigurationError("weight set requires a trailing deconv layer")
-        names = tuple(f"conv{i + 1}" for i in range(len(convs)))
-        return cls(cfg, names, convs, {dec.scale: dec})
-
 
 def _require(cond: bool, msg: str):
     if not cond:

@@ -54,8 +54,7 @@ class QFormat:
 
 def quantize_value(v: float, q: QFormat) -> int:
     """Nearest raw code (ties to even), saturated at the format range."""
-    raw = int(np.rint(v * (1 << q.frac_bits)))
-    return max(q.min_raw, min(q.max_raw, raw))
+    return int(np.clip(np.rint(v * (1 << q.frac_bits)), q.min_raw, q.max_raw))
 
 
 def quantize_array(a: np.ndarray, q: QFormat) -> np.ndarray:
@@ -129,10 +128,11 @@ class QuantizedLayer:
         return tuple(taps)
 
     @cached_property
-    def abs_bounds(self) -> tuple[int, int]:
-        """(max over maps m of sum |weights_raw[m]|, max |bias_raw|) as exact ints."""
+    def abs_bounds(self) -> tuple[int, int, int]:
+        """Exact ints: max_m sum |weights_raw[m]|, max |bias_raw|, max |prelu_raw| or 0."""
         l1 = np.abs(self.weights_raw).sum(axis=(1, 2, 3))
-        return int(l1.max()), int(np.abs(self.bias_raw).max())
+        p = 0 if self.prelu_raw is None else int(np.abs(self.prelu_raw).max())
+        return int(l1.max()), int(np.abs(self.bias_raw).max()), p
 
 
 @dataclass(frozen=True)
@@ -223,13 +223,16 @@ def quantized_conv_rows(qlayer: QuantizedLayer, padded: np.ndarray,
     2**53, float64 holds every partial sum exactly, so the BLAS matmuls of
     _blas_sums give the same integers as any order would. Otherwise (wide
     formats) the block runs as int64 through the ordered conv_taps loop.
+    Where that bound times max |slope| reaches 2**63, the PReLU rescale
+    splits each negative sum, so that no product wraps int64.
     The epilogue works in place with one int64 and one int8 scratch array;
     it uses no masked (`where=`) ufuncs, which run an order of magnitude
     slower on int64.
     """
     bits, qa = qnet.q_weights.frac_bits, qnet.q_activations
-    l1, b = qlayer.abs_bounds
-    if (l1 << (qa.total_bits - 1)) + b < 1 << 53:
+    l1, b, p = qlayer.abs_bounds
+    bound = (l1 << (qa.total_bits - 1)) + b
+    if bound < 1 << 53:
         acc = _blas_sums(qlayer, padded)
     else:
         acc = conv_taps(np.asarray(padded, dtype=np.int64), qlayer.weights_raw,
@@ -240,7 +243,19 @@ def quantized_conv_rows(qlayer: QuantizedLayer, padded: np.ndarray,
         # the sum of the two parts is PReLU on every sample
         neg = np.minimum(acc, 0)
         acc -= neg
-        neg *= qlayer.prelu_raw[:, None, None]
+        slope = qlayer.prelu_raw[:, None, None]
+        if bound * p < 1 << 63:
+            neg *= slope
+        else:
+            # neg = hi * 2**bits + lo: hi * slope, less its low bit, is added apart and
+            # that bit joins lo * slope, so the rounding sees the quotient's parity; hi
+            # is held where |hi * slope| passes 2**31 + 1 output steps (saturated anyway)
+            cap = ((1 << 31) + 1 << bits) // np.maximum(np.abs(slope), 1) + 2
+            hi = np.maximum(neg >> bits, -cap) * slope
+            neg &= (1 << bits) - 1
+            neg *= slope
+            neg += (hi & 1) << bits
+            acc += hi & -2
         _rshift_half_even_into(neg, bits, odd)
         acc += neg
     _rshift_half_even_into(acc, bits, odd)
@@ -326,6 +341,8 @@ def quantized_forward(qnet: QuantizedNetwork, x_raw: np.ndarray,
     """
     qa = qnet.q_activations
     raw = np.asarray(x_raw)
+    if raw.dtype.kind == "f" and not np.array_equal(raw, np.rint(raw)):
+        raise ConfigurationError("raw input codes must be integers")
     if raw.size and (raw.min() < qa.min_raw or raw.max() > qa.max_raw):
         raise ConfigurationError(
             f"raw input codes must lie in [{qa.min_raw}, {qa.max_raw}] of {qa}")

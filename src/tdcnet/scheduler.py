@@ -8,6 +8,9 @@ down to ceil(K^2 / PEs) instead of the densest filter's tap count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -16,22 +19,18 @@ from .model import ConvLayerSpec, DeconvLayerSpec, Tensor3, tap_map_runs
 from .reference import conv_taps
 from .tdc import TdcGeometry, derive_geometry, transform_weights
 
+INSTRUCTION = np.dtype([("m", np.intp), ("n", np.intp), ("pe", np.intp), ("phase", np.intp),
+                        ("y", np.intp), ("x", np.intp), ("weight", np.float64)])
+
 
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-@dataclass(frozen=True, slots=True)
-class PEInstruction:
-    phase_channel: int          # output index k = S*yo + xo within the group
-    input_pos: tuple[int, int]  # (row, col) in the fetched kernel window
-    weight: float
-
-
 @dataclass(frozen=True)
 class PESchedule:
     pe_count: int
-    streams: tuple[tuple[PEInstruction, ...], ...]
+    streams: tuple[np.ndarray, ...]     # per PE, its INSTRUCTION rows in dispatch order
     depth: int
 
 
@@ -48,67 +47,73 @@ class TilingParams:
 
 @dataclass(frozen=True)
 class LayerSchedule:
-    """Per-(output map, input map) group schedules for one transformed layer."""
+    """One transformed layer's instruction table: an INSTRUCTION row per scheduled
+    tap (deconv maps m and n, PE, phase filter S*yo + xo, position y, x in the
+    fetched kernel window, weight) in the order the round-robin deal hands them out.
+    The simulator reads only the table; `depth` and `groups` derive from it."""
 
     geometry: TdcGeometry
     conv: ConvLayerSpec          # the transformed layer the schedule executes
     out_maps: int                # deconv output maps M (conv has S^2 * M)
     in_maps: int
     pe_count: int
-    groups: dict[tuple[int, int], PESchedule]
+    table: np.ndarray
 
-    @property
+    @cached_property
     def depth(self) -> int:
-        return max(g.depth for g in self.groups.values())
+        """Cycles per window: the largest (m, n) group's taps over the PEs."""
+        groups = np.bincount(self.table["m"] * self.in_maps + self.table["n"])
+        return _ceil_div(int(groups.max(initial=0)), self.pe_count)
 
-
-def build_schedule(filters: np.ndarray, pe_count: int) -> PESchedule:
-    """Distribute the nonzero taps of one group's phase filters over PEs.
-
-    `filters` is (phases, K, K): the phase filters of one (m, n) pair produced
-    by the transform. Taps are taken in descending per-filter-density order and
-    dealt round robin, each to the least-loaded PE (the first one on a tie), so
-    the depth is exactly ceil(total nonzeros / pe_count).
-    """
-    if pe_count < 1:
-        raise ConfigurationError("pe_count must be >= 1")
-    filters = np.asarray(filters, dtype=np.float64)
-    if filters.ndim != 3 or filters.shape[1] != filters.shape[2]:
-        raise ScheduleMismatchError(f"expected (phases, K, K) filters, got {filters.shape}")
-    order = np.argsort(-np.count_nonzero(filters, axis=(1, 2)), kind="stable")
-    ordered = filters[order]
-    rank, ys, xs = np.nonzero(ordered)
-    triples = [
-        PEInstruction(p, (y, x), wt)
-        for p, y, x, wt in zip(order[rank].tolist(), ys.tolist(), xs.tolist(),
-                               ordered[rank, ys, xs].tolist())
-    ]
-    streams = tuple(tuple(triples[pe::pe_count]) for pe in range(pe_count))
-    return PESchedule(pe_count, streams, _ceil_div(len(triples), pe_count))
+    @cached_property
+    def groups(self) -> Mapping[tuple[int, int], PESchedule]:
+        """Read-only (m, n) -> PESchedule view of the table; PE p's stream is
+        every pe_count-th row of the group from its p-th on."""
+        t, pes = self.table, self.pe_count
+        rows = {(m, n): t[(t["m"] == m) & (t["n"] == n)]
+                for m in range(self.out_maps) for n in range(self.in_maps)}
+        return MappingProxyType({g: PESchedule(pes, tuple(r[p::pes] for p in range(pes)),
+                                               _ceil_div(len(r), pes))
+                                 for g, r in rows.items()})
 
 
 def schedule_deconv_layer(layer: DeconvLayerSpec, pe_count: int) -> LayerSchedule:
-    """Transform the layer and build one balanced schedule per (m, n) group."""
+    """Transform the layer and deal every (m, n) group's nonzero taps over PEs.
+
+    Within a group the phase filters are taken in descending density order
+    (stable on ties) and their taps in (y, x) order; tap j of the group goes
+    to PE j % pe_count, so each group's depth is ceil(nonzeros / pe_count).
+    One nonzero over the density-ordered (M, N, S^2, K, K) filters yields the
+    whole table in that order.
+    """
+    if pe_count < 1:
+        raise ConfigurationError("pe_count must be >= 1")
     geom = derive_geometry(layer.kernel, layer.scale)
     conv, _ = transform_weights(layer)
-    s2 = layer.scale ** 2
-    groups = {}
-    for m in range(layer.out_maps):
-        for n in range(layer.in_maps):
-            filters = conv.weights[m * s2:(m + 1) * s2, n]
-            groups[(m, n)] = build_schedule(filters, pe_count)
-    return LayerSchedule(geom, conv, layer.out_maps, layer.in_maps, pe_count, groups)
+    s2, m_maps, n_maps, k = layer.scale ** 2, layer.out_maps, layer.in_maps, conv.kernel
+    filters = conv.weights.reshape(m_maps, s2, n_maps, k, k).transpose(0, 2, 1, 3, 4)
+    order = np.argsort(-np.count_nonzero(filters, axis=(3, 4)), axis=2, kind="stable")
+    ordered = np.take_along_axis(filters, order[..., None, None], axis=2)
+    m, n, rank, y, x = np.nonzero(ordered)
+    group = m * n_maps + n                       # ascending: np.nonzero is row-major
+    table = np.empty(len(m), dtype=INSTRUCTION)
+    table["m"], table["n"], table["y"], table["x"] = m, n, y, x
+    table["pe"] = (np.arange(len(m)) - np.searchsorted(group, group)) % pe_count
+    table["phase"] = order[m, n, rank]
+    table["weight"] = ordered[m, n, rank, y, x]
+    table.flags.writeable = False
+    return LayerSchedule(geom, conv, m_maps, n_maps, pe_count, table)
 
 
 def simulate_dclp(x: Tensor3, schedule: LayerSchedule, geometry: TdcGeometry,
                   in_tile: int) -> tuple[Tensor3, int]:
     """Behavioral run of the scheduled PE array over every sliding window.
 
-    Every PE instruction adds its weight into the phase filter its output index
-    names; the filters rebuilt that way then run through the conv executor, so
-    a dropped, duplicated or misplaced instruction changes the output, which
-    must equal the transformed-layer convolution. Cycles follow the analytic
-    model and are data-independent.
+    One bincount over the table adds every instruction's weight into the filter
+    tap its row names (a map, phase or position outside the layer is rejected,
+    not aliased); the rebuilt filters run through the conv executor, so a
+    dropped, duplicated or misplaced instruction changes the output, which must
+    equal the transformed-layer convolution. Cycles follow the analytic model.
     """
     if geometry != schedule.geometry:
         raise ScheduleMismatchError("geometry does not match the schedule's layer")
@@ -120,25 +125,14 @@ def simulate_dclp(x: Tensor3, schedule: LayerSchedule, geometry: TdcGeometry,
     n_in, h, w = x.data.shape
     k, pb = conv.kernel, conv.pad_before
     s2 = geometry.stride ** 2
+    t = schedule.table
+    for col, hi in (("m", schedule.out_maps), ("n", n_in), ("phase", s2), ("y", k), ("x", k)):
+        if t.size and (t[col].min() < 0 or t[col].max() >= hi):
+            raise ScheduleMismatchError(f"an instruction's {col} is outside [0, {hi})")
+    index = (((t["m"] * s2 + t["phase"]) * n_in + t["n"]) * k + t["y"]) * k + t["x"]
+    filters = np.bincount(index, t["weight"], conv.weights.size).reshape(conv.weights.shape)
     padded = np.zeros((n_in, h + k - 1, w + k - 1))
     padded[:, pb:pb + h, pb:pb + w] = x.data
-    # flat (phase map, n, y, x) offset of each instruction, streamed into arrays
-    # without a Python list per instruction; bincount sums repeats. The lookups
-    # reject a phase or window position outside the layer instead of aliasing it.
-    kk = k * k
-    phase_offset = {p: p * n_in * kk for p in range(s2)}
-    tap_offset = {(y, xx): y * k + xx for y in range(k) for xx in range(k)}
-    try:
-        index = np.fromiter(
-            ((m * s2 * n_in + n) * kk + phase_offset[i.phase_channel] + tap_offset[i.input_pos]
-             for (m, n), group in schedule.groups.items()
-             for stream in group.streams for i in stream), dtype=np.intp)
-    except KeyError as e:
-        raise ScheduleMismatchError(f"instruction target {e} is outside the layer") from None
-    weight = np.fromiter((i.weight for group in schedule.groups.values()
-                          for stream in group.streams for i in stream), dtype=np.float64)
-    filters = np.bincount(index, weights=weight, minlength=conv.weights.size)
-    filters = filters.reshape(conv.weights.shape)
     out = conv_taps(padded, filters, conv.bias, tap_map_runs(filters))
     cycles = _cycles(conv.out_maps, schedule.pe_count, schedule.in_maps, in_tile,
                      h, w, schedule.depth)

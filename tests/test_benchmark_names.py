@@ -1,10 +1,14 @@
-"""The benchmark traces tdcnet functions by name; a renamed function would
-silently read -1 there, so every traced name must resolve here."""
+"""The benchmark traces tdcnet functions by name and drives its workloads
+through tdcnet's public API; a renamed function or a changed schedule
+interface would silently read -1 or fail the benchmark run, so both are
+checked here."""
 import ast
 import importlib
 from pathlib import Path
+from types import SimpleNamespace
 
-RUN_PY = Path(__file__).resolve().parent.parent / "tdcbench" / "run.py"
+BENCH = Path(__file__).resolve().parent.parent / "tdcbench"
+RUN_PY = BENCH / "run.py"
 
 
 def test_traced_names_resolve():
@@ -18,3 +22,20 @@ def test_traced_names_resolve():
                if not callable(getattr(importlib.import_module(
                    "tdcnet." + name.split(".")[0]), name.split(".")[1], None))]
     assert not missing, f"traced names without a tdcnet function: {missing}"
+
+
+def test_transform_verify_workload_runs(monkeypatch):
+    # workloads.py sets no thread variables and imports only numpy and oracles
+    monkeypatch.syspath_prepend(str(BENCH))
+    wl = importlib.import_module("workloads")
+    lib = SimpleNamespace(**{n: importlib.import_module(f"tdcnet.{n}")
+                             for n in ("model", "scheduler", "tdc")})
+    ws = lib.model.parse_weights(wl.weight_doc(0))
+    lib.nets = {s: ws.network(s) for s in wl.SCALES}
+    work = wl.TransformVerify(0)
+    counts = work.model_counts(lib, lib.nets, 0)
+    # every K_D^2 tap of all X groups is scheduled once per scale
+    assert counts["scheduler.simulate_dclp.instructions"] == len(wl.SCALES) * wl.X * wl.KD ** 2
+    assert counts["scheduler.simulate_dclp.cycles"] == counts["scheduler.L7.cycles_proposed"] > 0
+    kind, call, check = work.op(lib, 1)
+    assert kind == "sim" and check(call())

@@ -26,6 +26,33 @@ def weight_file(tmp_path, rng):
     return str(path)
 
 
+# `schedule` streams as (phase, y, x, weight), weights 1..kd^2 in raster order
+SCHEDULE_5_2 = [
+    [(3, 0, 0, 25), (3, 1, 1, 13), (3, 2, 2, 1), (1, 1, 0, 10), (2, 0, 1, 22), (2, 2, 1, 2),
+     (0, 1, 1, 7)],
+    [(3, 0, 1, 23), (3, 1, 2, 11), (1, 0, 0, 20), (1, 1, 1, 8), (2, 1, 0, 14), (0, 0, 0, 19)],
+    [(3, 0, 2, 21), (3, 2, 0, 5), (1, 0, 1, 18), (1, 1, 2, 6), (2, 1, 1, 12), (0, 0, 1, 17)],
+    [(3, 1, 0, 15), (3, 2, 1, 3), (1, 0, 2, 16), (2, 0, 0, 24), (2, 2, 0, 4), (0, 1, 0, 9)],
+]
+SCHEDULE_9_4_PES_3 = [
+    [(15, 0, 0, 81), (15, 1, 0, 45), (15, 2, 0, 9), (3, 0, 0, 54), (3, 1, 0, 18), (7, 0, 0, 63),
+     (7, 1, 0, 27), (11, 0, 0, 72), (11, 1, 0, 36), (12, 0, 0, 78), (12, 1, 1, 38),
+     (13, 0, 0, 79), (13, 1, 1, 39), (14, 0, 0, 80), (14, 1, 1, 40), (0, 0, 0, 51),
+     (0, 1, 1, 11), (1, 1, 0, 16), (2, 0, 1, 49), (4, 0, 0, 60), (4, 1, 1, 20), (5, 1, 0, 25),
+     (6, 0, 1, 58), (8, 0, 0, 69), (8, 1, 1, 29), (9, 1, 0, 34), (10, 0, 1, 67)],
+    [(15, 0, 1, 77), (15, 1, 1, 41), (15, 2, 1, 5), (3, 0, 1, 50), (3, 1, 1, 14), (7, 0, 1, 59),
+     (7, 1, 1, 23), (11, 0, 1, 68), (11, 1, 1, 32), (12, 0, 1, 74), (12, 2, 0, 6),
+     (13, 0, 1, 75), (13, 2, 0, 7), (14, 0, 1, 76), (14, 2, 0, 8), (0, 0, 1, 47), (1, 0, 0, 52),
+     (1, 1, 1, 12), (2, 1, 0, 17), (4, 0, 1, 56), (5, 0, 0, 61), (5, 1, 1, 21), (6, 1, 0, 26),
+     (8, 0, 1, 65), (9, 0, 0, 70), (9, 1, 1, 30), (10, 1, 0, 35)],
+    [(15, 0, 2, 73), (15, 1, 2, 37), (15, 2, 2, 1), (3, 0, 2, 46), (3, 1, 2, 10), (7, 0, 2, 55),
+     (7, 1, 2, 19), (11, 0, 2, 64), (11, 1, 2, 28), (12, 1, 0, 42), (12, 2, 1, 2),
+     (13, 1, 0, 43), (13, 2, 1, 3), (14, 1, 0, 44), (14, 2, 1, 4), (0, 1, 0, 15), (1, 0, 1, 48),
+     (2, 0, 0, 53), (2, 1, 1, 13), (4, 1, 0, 24), (5, 0, 1, 57), (6, 0, 0, 62), (6, 1, 1, 22),
+     (8, 1, 0, 33), (9, 0, 1, 66), (10, 0, 0, 71), (10, 1, 1, 31)],
+]
+
+
 def run(capsys, argv):
     code = main(argv)
     return code, capsys.readouterr().out
@@ -74,15 +101,25 @@ class TestReports:
         assert code == 0
         assert report["results"]["layers"][0]["proposed_cycles"] == 458752
 
-    def test_schedule(self, capsys, schema):
-        code, report = run_json(capsys,
-                                ["schedule", "--kd", "5", "--stride", "2"],
-                                schema)
+    def _schedule(self, capsys, schema, argv):
+        code, report = run_json(capsys, ["schedule", *argv], schema)
         assert code == 0
         res = report["results"]
+        assert all(type(i["weight"]) is float for st in res["streams"] for i in st)
+        # every instruction in stream order, so the report is pinned exactly
+        streams = [[(i["phase"], *i["pos"], i["weight"]) for i in st] for st in res["streams"]]
+        return res, streams
+
+    def test_schedule(self, capsys, schema):
+        res, streams = self._schedule(capsys, schema, ["--kd", "5", "--stride", "2"])
         assert res["depth"] == 7 and res["pe_count"] == 4
-        total = sum(len(s) for s in res["streams"])
-        assert total == 25
+        assert streams == SCHEDULE_5_2
+
+    def test_schedule_pes(self, capsys, schema):
+        res, streams = self._schedule(capsys, schema,
+                                      ["--kd", "9", "--stride", "4", "--pes", "3"])
+        assert res["depth"] == 27 and res["pe_count"] == 3
+        assert streams == SCHEDULE_9_4_PES_3
 
     def test_plan(self, capsys, schema):
         code, report = run_json(capsys, [

@@ -5,8 +5,11 @@ the canvas oracle, the DCLP simulator against faulty schedules, streaming
 against batch inference, and the weight-file and PNM round trips."""
 import dataclasses
 import json
+import math
 import os
+import sys
 import tempfile
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,9 +22,10 @@ from tdcnet.imageio import read_image, write_image
 from tdcnet.model import (DeconvLayerSpec, FsrcnnConfig, Tensor3, WeightSet, _conv_shapes,
                           conv_layer, parse_weights, save_weights, tap_map_runs)
 from tdcnet.pipeline import infer, infer_streaming
-from tdcnet.quant import QFormat, QuantizedLayer, QuantizedNetwork, quantized_conv_rows
+from tdcnet.quant import (QFormat, QuantizedLayer, QuantizedNetwork, quantize_array,
+                          quantize_value, quantized_conv_rows)
 from tdcnet.reference import conv2d, conv_taps
-from tdcnet.scheduler import PEInstruction, schedule_deconv_layer, simulate_dclp
+from tdcnet.scheduler import schedule_deconv_layer, simulate_dclp
 from tdcnet.tdc import deconv_oracle, deconv_via_transform
 
 from conftest import random_deconv, random_net
@@ -93,6 +97,33 @@ def test_conv_taps_skips_zero_maps(block, dtype, kinds, seed):
     assert np.array_equal(got, conv_windows(padded, weights, bias))
 
 
+@st.composite
+def formats_and_values(draw):
+    """A 2-32-bit format and values on its grid (ties included), around and far
+    beyond its range, up to float64's largest magnitudes and infinities."""
+    bits = draw(st.integers(2, 32))
+    q = QFormat(bits, draw(st.integers(0, bits - 1)))
+    grid = st.builds(lambda i, f: math.ldexp(i + f, -q.frac_bits),
+                     st.integers(4 * q.min_raw, 4 * q.max_raw),
+                     st.sampled_from([0, 0.25, 0.5, 0.75]))
+    huge = st.sampled_from([sys.float_info.max, 2.0 ** 63, 2.0 ** 64, 1e30, math.inf])
+    values = st.one_of(grid, st.floats(allow_nan=False), huge, huge.map(lambda v: -v))
+    return q, draw(st.lists(values, min_size=1, max_size=16))
+
+
+@settings(max_examples=200, deadline=None)
+@given(formats_and_values())
+def test_quantize_rounds_half_even_and_saturates(case):
+    q, values = case
+    want = [q.max_raw if v == math.inf else q.min_raw if v == -math.inf else
+            min(q.max_raw, max(q.min_raw, round(Fraction(v) * 2 ** q.frac_bits)))
+            for v in values]                  # Fraction rounds half to even, exactly
+    with np.errstate(over="ignore"):          # v * 2**frac_bits may reach inf
+        got = quantize_array(np.array(values), q)
+        assert [quantize_value(v, q) for v in values] == want
+    assert got.dtype == np.int64 and got.tolist() == want
+
+
 def _rshift_even(v, bits):
     """v / 2**bits rounded half to even, from quotient and remainder."""
     if bits == 0:
@@ -102,12 +133,15 @@ def _rshift_even(v, bits):
 
 
 def quantized_windows(padded, ql: QuantizedLayer, qnet: QuantizedNetwork):
-    """quantized_conv_rows as conv_windows in int64 and the epilogue written out."""
+    """quantized_conv_rows as conv_windows in int64 and the epilogue written out,
+    its slope products in Python ints, which cannot wrap."""
     bits, qa = qnet.q_weights.frac_bits, qnet.q_activations
     acc = conv_windows(padded.astype(np.int64), ql.weights_raw, ql.bias_raw)
     if ql.prelu_raw is not None:
-        acc = np.where(acc < 0, _rshift_even(acc * ql.prelu_raw[:, None, None], bits), acc)
-    return np.clip(_rshift_even(acc, bits), qa.min_raw, qa.max_raw)
+        acc = acc.astype(object)
+        acc = np.where(acc < 0, _rshift_even(acc * ql.prelu_raw.astype(object)[:, None, None],
+                                             bits), acc)
+    return np.clip(_rshift_even(acc, bits), qa.min_raw, qa.max_raw).astype(np.int64)
 
 
 def int_layer(weights, bias, prelu, qw: QFormat, qa: QFormat):
@@ -123,8 +157,10 @@ def int_layer(weights, bias, prelu, qw: QFormat, qa: QFormat):
 def int_layers(draw):
     """Raw codes of a layer and an in-format block, often at the format
     extremes, in formats on both sides of the 2**53 guard, with some (map,
-    tap) weights zeroed. Formats stay within 56 bits and PReLU slopes small
-    enough that the int64 reference cannot overflow."""
+    tap) weights zeroed. Formats stay within 56 bits, so the int64 reference
+    sums cannot overflow. PReLU slope codes keep the largest sum times the
+    slope below 2**62, or its rescaled value below 2**62, or span the format,
+    where the products pass 2**63 and the rescaled sums may pass int64."""
     # M >= N*K*K runs as one matmul over the stacked windows, else one per tap
     m, n = draw(st.integers(1, 4) | st.sampled_from([9, 26])), draw(st.integers(1, 4))
     k = draw(st.sampled_from([1, 3, 5]))
@@ -152,7 +188,9 @@ def int_layers(draw):
     if draw(st.booleans()):
         bound = int(np.abs(weights).sum(axis=(1, 2, 3)).max()) * -qa.min_raw + int(
             np.abs(bias).max())
-        prelu = codes(qw, m, 0, min(qw.max_raw, 2 ** 62 // max(bound, 1)))
+        top = draw(st.sampled_from([2 ** 62, 2 ** (62 + qw.frac_bits), 2 ** 94]))
+        cap = min(qw.max_raw, top // max(bound, 1))
+        prelu = codes(qw, m, -cap, cap)
     padded = codes(qa, (n, r + k - 1, w + k - 1))
     return (*int_layer(weights, bias, prelu, qw, qa), padded)
 
@@ -190,6 +228,22 @@ def test_quantized_conv_rows_guard_edge(monkeypatch, k, w, bias, qw, qa, blas):
     assert np.array_equal(got, quantized_windows(padded, ql, qnet))
 
 
+@pytest.mark.parametrize("w, slope", [
+    # bound * slope = (2**32 + 2**17 + 1) * 2**31, just past 2**63: the
+    # largest sum times the slope would wrap int64
+    (2 ** 16 + 1, 2 ** 16 + 1),
+    # at -1, lo * slope ends in a rounding tie while hi * slope is odd, and
+    # the output stays inside the format
+    (2316482, 7915),
+])
+def test_prelu_rescale_split_edge(w, slope):
+    qw, qa = QFormat(32, 2), QFormat(32, 0)
+    ql, qnet = int_layer(np.full((1, 1, 1, 1), w), [0], np.array([slope]), qw, qa)
+    padded = np.array([[[qa.min_raw, -3, -2, -1, 0, 1]]])
+    got = quantized_conv_rows(ql, padded.astype(np.float64), qnet)
+    assert np.array_equal(got, quantized_windows(padded, ql, qnet))
+
+
 @settings(max_examples=60, deadline=None)
 @given(s=st.integers(2, 4), extra=st.integers(0, 7), m=st.integers(1, 3),
        n=st.integers(1, 3), h=st.integers(1, 6), w=st.integers(1, 6),
@@ -206,28 +260,21 @@ def test_transform_equals_oracle(s, extra, m, n, h, w, seed):
 
 
 def _faulty(sched, fault: str, rng):
-    """The schedule with one instruction dropped, duplicated or misplaced."""
-    key = sorted(sched.groups)[int(rng.integers(len(sched.groups)))]
-    group = sched.groups[key]
-    streams = [list(stream) for stream in group.streams]
-    pe = int(rng.choice([i for i, stream in enumerate(streams) if stream]))
-    j = int(rng.integers(len(streams[pe])))
-    instr = streams[pe][j]
+    """The schedule with one table row dropped, duplicated or misplaced."""
+    table = sched.table.copy()
+    j = int(rng.integers(len(table)))
     if fault == "drop":
-        del streams[pe][j]
+        table = np.delete(table, j)
     elif fault == "duplicate":
-        streams[int(rng.integers(len(streams)))].append(instr)
+        table = np.insert(table, int(rng.integers(len(table) + 1)), table[j])
     elif fault == "phase":
         s2 = sched.geometry.stride ** 2
-        phase = (instr.phase_channel + int(rng.integers(1, s2))) % s2
-        streams[pe][j] = PEInstruction(phase, instr.input_pos, instr.weight)
+        table["phase"][j] = (table["phase"][j] + int(rng.integers(1, s2))) % s2
     else:
         kc = sched.conv.kernel
-        y, x = instr.input_pos
-        flat = (y * kc + x + int(rng.integers(1, kc * kc))) % (kc * kc)
-        streams[pe][j] = PEInstruction(instr.phase_channel, divmod(flat, kc), instr.weight)
-    group = dataclasses.replace(group, streams=tuple(map(tuple, streams)))
-    return dataclasses.replace(sched, groups={**sched.groups, key: group})
+        flat = (table["y"][j] * kc + table["x"][j] + int(rng.integers(1, kc * kc))) % (kc * kc)
+        table["y"][j], table["x"][j] = divmod(flat, kc)
+    return dataclasses.replace(sched, table=table)
 
 
 @settings(max_examples=60, deadline=None)
@@ -251,9 +298,8 @@ def test_simulate_dclp_detects_faulty_schedule(s, extra, m, n, fault, seed):
     assert not np.array_equal(got, want)
     # and it runs exactly the instructions it holds, a moved one included
     filters = np.zeros(sched.conv.weights.shape)
-    for (mi, ni), group in bad.groups.items():
-        for instr in (i for stream in group.streams for i in stream):
-            filters[mi * s * s + instr.phase_channel, ni][instr.input_pos] += instr.weight
+    for mi, ni, _, phase, y, xx, weight in bad.table.tolist():
+        filters[mi * s * s + phase, ni, y, xx] += weight
     pb = sched.conv.pad_before
     padded = np.pad(x.data, ((0, 0), (pb, kc - 1 - pb), (pb, kc - 1 - pb)))
     assert np.array_equal(got, conv_windows(padded, filters, sched.conv.bias))

@@ -1,15 +1,18 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from tdcnet.errors import ConfigurationError
-from tdcnet.model import NetworkSpec, Tensor3, conv_layer
+from tdcnet.model import NetworkSpec, Tensor3, conv_layer, parse_weights
+from tdcnet.pipeline import infer
 from tdcnet.quant import (QFormat, dequantize, double_mac_product,
                           fixed_point_error_bound, float_forward,
                           quantize_array, quantize_network, quantize_value,
                           quantized_forward, round_half_even_rshift,
                           sweep_bitwidth)
 
-from conftest import random_net
+from conftest import random_net, random_weight_doc
 
 Q13 = QFormat(13, 9)
 
@@ -114,6 +117,61 @@ class TestQuantizedForward:
             for bound, f_raw, f_ref in zip(bounds, fixed_trace, float_trace):
                 err = np.abs(f_raw * Q13.step - f_ref.data).max()
                 assert err <= bound + 1e-12
+
+
+    def test_rejects_non_integer_codes(self):
+        qnet = quantize_network(NetworkSpec((conv_layer(1, 1, 1, [[[[1.0]]]]),)), Q13, Q13)
+        with pytest.raises(ConfigurationError, match="integers"):
+            quantized_forward(qnet, np.array([[[0.7, 2.9, -1.5]]]))
+        with pytest.raises(ConfigurationError):
+            quantized_forward(qnet, np.array([[[0.0, np.nan]]]))
+        out = quantized_forward(qnet, np.array([[[0.0, 2.0, -1.0]]]))
+        assert out.tolist() == [[[0, 2, -1]]]
+
+    @pytest.mark.parametrize("bits", [16, 24, 27, 28, 30, 32])
+    def test_prelu_rescale_exact_in_wide_formats(self, rng, bits):
+        # inputs across the whole format: at 27 bits and more the sums times
+        # the slope codes pass 2**63, which int64 products wrapped
+        q = QFormat(bits, bits - 4)
+        layer = conv_layer(3, 2, 2, rng.normal(0, 0.3, (2, 2, 3, 3)),
+                           rng.normal(0, 0.05, 2), np.array([0.25, 1.5]))
+        qnet = quantize_network(NetworkSpec((layer,)), q, q)
+        x = rng.integers(q.min_raw, q.max_raw + 1, (2, 4, 5))
+        assert np.array_equal(quantized_forward(qnet, x), _python_int_layer(qnet, x))
+
+    def test_wide_formats_track_float(self):
+        rng = np.random.default_rng(3)
+        net = parse_weights(random_weight_doc(rng, x=8, y=4, z=2, kd=9)).network(2)
+        img = rng.integers(0, 256, (10, 10, 3), dtype=np.uint8)
+        ref = infer(img, net, 2).astype(int)
+        for bits in (24, 28, 32):
+            q = QFormat(bits, bits - 4)
+            out = infer(img, net, 2, "fixed", q, q).astype(int)
+            assert np.abs(out - ref).max() <= 1, bits
+
+
+def _python_int_layer(qnet, x):
+    """One same-padded fixed-point conv layer with PReLU, in Python ints."""
+    ql, qa, bits = qnet.layers[0], qnet.q_activations, qnet.q_weights.frac_bits
+
+    def rshift_even(v):
+        q, r = divmod(v, 1 << bits)
+        return q + (r > 1 << (bits - 1) or (r == 1 << (bits - 1) and q % 2 == 1))
+
+    w = ql.weights_raw.tolist()
+    m_maps, n_maps, k, _ = ql.weights_raw.shape
+    _, h, wd = x.shape
+    pad = ql.spec.pad_before
+    out = np.zeros((m_maps, h, wd), dtype=np.int64)
+    for m, y, xx in itertools.product(range(m_maps), range(h), range(wd)):
+        v = int(ql.bias_raw[m]) + sum(
+            w[m][n][i][j] * int(x[n, y + i - pad, xx + j - pad])
+            for n, i, j in itertools.product(range(n_maps), range(k), range(k))
+            if 0 <= y + i - pad < h and 0 <= xx + j - pad < wd)
+        if v < 0:
+            v = rshift_even(v * int(ql.prelu_raw[m]))
+        out[m, y, xx] = min(qa.max_raw, max(qa.min_raw, rshift_even(v)))
+    return out
 
 
 class TestDoubleMac:

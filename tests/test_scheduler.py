@@ -6,9 +6,8 @@ import pytest
 from tdcnet.errors import ConfigurationError, ScheduleMismatchError
 from tdcnet.model import Tensor3
 from tdcnet.reference import conv2d
-from tdcnet.scheduler import (PEInstruction, build_schedule, classify_case,
-                              cycles_baseline, cycles_proposed,
-                              schedule_deconv_layer, simulate_dclp)
+from tdcnet.scheduler import (INSTRUCTION, classify_case, cycles_baseline,
+                              cycles_proposed, schedule_deconv_layer, simulate_dclp)
 from tdcnet.tdc import derive_geometry, transform_weights
 
 from conftest import random_deconv
@@ -18,6 +17,22 @@ from test_tdc import KNOWN_GEOMETRY
 
 def _ceil(a, b):
     return -(-a // b)
+
+
+def _dealt(conv, s2, pe_count):
+    """The round-robin deal, one (m, n) group at a time: phase filters in
+    stable descending density order, each one's taps in (y, x) order, tap j
+    of the group to PE j % pe_count."""
+    rows = []
+    for m in range(conv.out_maps // s2):
+        for n in range(conv.in_maps):
+            filters = conv.weights[m * s2:(m + 1) * s2, n]
+            order = np.argsort(-np.count_nonzero(filters, axis=(1, 2)), kind="stable")
+            taps = [(int(p), y, x) for p in order for y in range(conv.kernel)
+                    for x in range(conv.kernel) if filters[p, y, x] != 0]
+            rows += [(m, n, j % pe_count, p, y, x, filters[p, y, x])
+                     for j, (p, y, x) in enumerate(taps)]
+    return rows
 
 
 class TestBuildSchedule:
@@ -30,26 +45,53 @@ class TestBuildSchedule:
     def test_completeness(self, rng):
         layer = random_deconv(rng, 5, 2, m=1, n=1, lo=1, hi=26)
         conv, _ = transform_weights(layer)
-        sched = schedule_deconv_layer(layer, 4).groups[(0, 0)]
-        scheduled = sorted(
-            (i.phase_channel, i.input_pos, i.weight)
-            for stream in sched.streams for i in stream
-        )
+        table = schedule_deconv_layer(layer, 4).table
+        scheduled = sorted(zip(table["phase"].tolist(), table["y"].tolist(),
+                               table["x"].tolist(), table["weight"].tolist()))
         expected = sorted(
-            (p, (y, x), float(conv.weights[p, 0, y, x]))
+            (p, y, x, float(conv.weights[p, 0, y, x]))
             for p in range(4) for y in range(3) for x in range(3)
             if conv.weights[p, 0, y, x] != 0
         )
         assert scheduled == expected
+        assert not table["m"].any() and not table["n"].any()
 
     def test_only_nonzero_scheduled(self, rng):
         layer = random_deconv(rng, 7, 2, m=1, n=1)
-        sched = schedule_deconv_layer(layer, 4).groups[(0, 0)]
-        assert all(i.weight != 0 for s in sched.streams for i in s)
+        table = schedule_deconv_layer(layer, 4).table
+        assert len(table) and table["weight"].all()
 
-    def test_pe_count_validation(self):
+    def test_pe_count_validation(self, rng):
+        layer = random_deconv(rng, 5, 2, m=1, n=1)
         with pytest.raises(ConfigurationError):
-            build_schedule(np.ones((4, 3, 3)), 0)
+            schedule_deconv_layer(layer, 0)
+
+    @pytest.mark.parametrize("kd,s,pes", [(5, 2, 4), (9, 3, 9), (7, 4, 5), (6, 3, 1), (4, 2, 11)])
+    def test_table_is_the_round_robin_deal(self, rng, kd, s, pes):
+        layer = random_deconv(rng, kd, s, lo=-2, hi=3)      # zeros thin the filters unevenly
+        sched = schedule_deconv_layer(layer, pes)
+        assert sched.table.dtype == INSTRUCTION and not sched.table.flags.writeable
+        assert sched.table.tolist() == _dealt(sched.conv, s * s, pes)
+        counts = [len(sched.table[(sched.table["m"] == m) & (sched.table["n"] == n)])
+                  for m in range(layer.out_maps) for n in range(layer.in_maps)]
+        assert sched.depth == _ceil(max(counts), pes)
+
+    def test_groups_view(self, rng):
+        layer = random_deconv(rng, 7, 3, m=2, n=3, lo=-2, hi=3)
+        sched = schedule_deconv_layer(layer, 4)
+        assert sorted(sched.groups) == [(m, n) for m in range(2) for n in range(3)]
+        for (m, n), group in sched.groups.items():
+            rows = sched.table[(sched.table["m"] == m) & (sched.table["n"] == n)]
+            assert group.pe_count == 4 and group.depth == _ceil(len(rows), 4)
+            for pe, stream in enumerate(group.streams):
+                assert stream.tolist() == rows[pe::4].tolist()
+                assert (stream["pe"] == pe).all()
+        with pytest.raises(TypeError):
+            sched.groups[(0, 0)] = None
+        # a replaced table brings its own view and depth
+        bad = dataclasses.replace(sched, table=sched.table[:1])
+        assert sum(len(st) for g in bad.groups.values() for st in g.streams) == 1
+        assert bad.depth == 1
 
 
 class TestSimulateDclp:
@@ -102,12 +144,20 @@ class TestSimulateDclp:
     def test_instruction_outside_layer(self, rng, phase, pos):
         layer = random_deconv(rng, 5, 2, m=1, n=1, lo=1)     # kc = 3, 4 phases
         sched = schedule_deconv_layer(layer, 4)
-        group = sched.groups[(0, 0)]
-        first = group.streams[0][0]
-        streams = ((PEInstruction(phase, pos, first.weight),) + group.streams[0][1:],
-                   *group.streams[1:])
-        bad = dataclasses.replace(
-            sched, groups={(0, 0): dataclasses.replace(group, streams=streams)})
+        table = sched.table.copy()
+        table["phase"][0] = phase
+        table["y"][0], table["x"][0] = pos
+        bad = dataclasses.replace(sched, table=table)
+        with pytest.raises(ScheduleMismatchError):
+            simulate_dclp(Tensor3(np.ones((1, 3, 3))), bad, bad.geometry, in_tile=1)
+
+    @pytest.mark.parametrize("col,value", [("m", 2), ("m", -1), ("n", 1), ("n", -1)])
+    def test_instruction_outside_maps(self, rng, col, value):
+        layer = random_deconv(rng, 5, 2, m=2, n=1, lo=1)
+        sched = schedule_deconv_layer(layer, 4)
+        table = sched.table.copy()
+        table[col][-1] = value
+        bad = dataclasses.replace(sched, table=table)
         with pytest.raises(ScheduleMismatchError):
             simulate_dclp(Tensor3(np.ones((1, 3, 3))), bad, bad.geometry, in_tile=1)
 
