@@ -35,6 +35,8 @@ FSRCNN_DECONV = {"m": 1, "n": 56, "kd": 9}
 # Input pixel count back-solved from the baseline preset's published cycle
 # total: 21,233,016 = ceil(56/9) * 81 * 4 * pixels  =>  pixels = 9,362.
 FSRCNN_PIXELS = 9362
+# Layer flags of `cycles --model custom`; --win defaults to --hin.
+CUSTOM_FLAGS = ("m", "n", "hin", "win", "kd", "stride", "tm", "tn")
 
 
 def _digest(argv: list[str], files: list[str]) -> str:
@@ -133,10 +135,22 @@ def _verify_one(kd: int, s: int, seed: int) -> bool:
     return bool(np.array_equal(got.data, want.data))
 
 
+def _positive(args, *flags) -> None:
+    """Refuse a count flag given as zero or less (None: the flag was not given)."""
+    for flag in flags:
+        value = getattr(args, flag)
+        if value is not None and value < 1:
+            raise TdcnetError(f"--{flag} must be a positive integer, got {value}")
+
+
 def _cmd_verify_tdc(args, argv):
-    pairs = [(args.kd, args.stride)] if args.kd else [
-        (kd, s) for s in (2, 3, 4) for kd in range(s, 12)
-    ]
+    _positive(args, "kd", "stride", "trials")
+    if args.kd is not None:
+        pairs = [(args.kd, 2 if args.stride is None else args.stride)]
+    elif args.stride is not None:
+        raise TdcnetError("--stride applies with --kd only")
+    else:
+        pairs = [(kd, s) for s in (2, 3, 4) for kd in range(s, 12)]
     seq = np.random.SeedSequence(args.seed)
     failures = 0
     detail = []
@@ -158,7 +172,8 @@ def _cmd_schedule(args, argv):
         np.arange(1.0, args.kd ** 2 + 1).reshape(1, 1, args.kd, args.kd),
         np.zeros(1),
     )
-    pes = args.pes if args.pes else args.stride ** 2
+    _positive(args, "pes")
+    pes = args.stride ** 2 if args.pes is None else args.pes
     ls = scheduler.schedule_deconv_layer(layer, pes)
     sched = ls.groups[(0, 0)]
     streams = [
@@ -187,6 +202,9 @@ def _cycle_row(model_name: str, m: int, n: int, hin: int, win: int, kd: int, s: 
 
 
 def _cmd_cycles(args, argv):
+    given = [flag for flag in CUSTOM_FLAGS if getattr(args, flag) is not None]
+    if args.model != "custom" and given:
+        raise TdcnetError(f"--{given[0]} applies to --model custom only")
     if args.model == "dcgan":
         rows = [_cycle_row("dcgan", l["m"], l["n"], l["hin"], l["hin"], l["kd"], l["s"],
                            *DCGAN_TILES, layer=l["layer"]) for l in DCGAN_LAYERS]
@@ -198,10 +216,11 @@ def _cmd_cycles(args, argv):
         # analytic model's result; left unmatched and flagged
         rows[2].update(published_cycles_k=786, unexplained_discrepancy=True)
     else:
-        for flag in ("m", "n", "hin", "kd", "stride", "tm", "tn"):
-            if getattr(args, flag) is None:
+        for flag in CUSTOM_FLAGS:
+            if flag != "win" and getattr(args, flag) is None:
                 raise TdcnetError(f"--model custom requires --{flag}")
-        rows = [_cycle_row("custom", args.m, args.n, args.hin, args.win or args.hin,
+        win = args.hin if args.win is None else args.win
+        rows = [_cycle_row("custom", args.m, args.n, args.hin, win,
                            args.kd, args.stride, args.tm, args.tn)]
     totals = {
         "proposed_cycles": sum(r["proposed_cycles"] for r in rows),
@@ -317,7 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify-tdc", help="randomized transform-vs-oracle suite")
     v.add_argument("--kd", type=int)
-    v.add_argument("--stride", type=int, default=2)
+    v.add_argument("--stride", type=int)
     v.add_argument("--trials", type=int, default=100)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--out")
@@ -332,7 +351,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("cycles", help="proposed vs baseline cycle report")
     c.add_argument("--model", choices=["fsrcnn", "dcgan", "custom"], required=True)
-    for flag in ("m", "n", "hin", "win", "kd", "stride", "tm", "tn"):
+    for flag in CUSTOM_FLAGS:
         c.add_argument(f"--{flag}", type=int)
     c.add_argument("--out")
     c.set_defaults(func=_cmd_cycles)

@@ -4,9 +4,12 @@ network in float or fixed point, and the double-MAC product decomposition.
 Conventions:
   * round-half-to-even everywhere, saturation at format limits (never wrap);
   * MACs accumulate exactly at scale 2^(wf + af), in float64 BLAS matmuls
-    while every sum stays below 2^53, else in int64, and are requantized
-    to the activation format exactly once per layer output, after bias and
-    activation (the default; a per-value truncating mode is not provided);
+    while every sum stays below 2^53, else in int64 (a block whose sums reach
+    2^62 is refused, not wrapped), and are requantized to the activation
+    format exactly once per layer output, after bias and activation (the
+    default; a per-value truncating mode is not provided): in float64 with
+    rint while every sum times the PReLU slope code stays below 2^53, else
+    with int64 half-even shifts;
   * biases are quantized in the weight format and shifted into the accumulator
     scale exactly, adding no extra error.
 """
@@ -52,14 +55,24 @@ class QFormat:
         return 2.0 ** -self.frac_bits
 
 
+def _rint_codes(a, q: QFormat) -> np.ndarray:
+    """Nearest codes (ties to even) as float64, saturated at the format range.
+
+    Values are clipped to the range before scaling, so none overflows float64;
+    as rint is monotone and the limits are codes, this equals saturating after.
+    """
+    v = np.clip(np.asarray(a, dtype=np.float64), q.min_raw * q.step, q.max_raw * q.step)
+    return np.rint(v * (1 << q.frac_bits))
+
+
 def quantize_value(v: float, q: QFormat) -> int:
     """Nearest raw code (ties to even), saturated at the format range."""
-    return int(np.clip(np.rint(v * (1 << q.frac_bits)), q.min_raw, q.max_raw))
+    return int(_rint_codes(v, q))
 
 
 def quantize_array(a: np.ndarray, q: QFormat) -> np.ndarray:
-    raw = np.rint(np.asarray(a, dtype=np.float64) * (1 << q.frac_bits))
-    return np.clip(raw, q.min_raw, q.max_raw).astype(np.int64)
+    """Nearest raw codes (ties to even) as int64, saturated at the format range."""
+    return _rint_codes(a, q).astype(np.int64)
 
 
 def dequantize(raw, q: QFormat):
@@ -171,20 +184,20 @@ def quantize_network(net: NetworkSpec, q_weights: QFormat,
 
 
 def _blas_sums(qlayer: QuantizedLayer, padded: np.ndarray) -> np.ndarray:
-    """Bias plus the convolution of integer codes in float64 BLAS matmuls,
-    returned as an int64 (M, R, W) view. Exact only under the 2**53 guard.
+    """Bias plus the convolution of integer codes in float64 BLAS matmuls, as
+    an (M, R * Wp) float64 buffer. Exact only under the 2**53 guard.
 
     The (N, R + K - 1, Wp) block is read as (N, (R + K - 1) * Wp): the window of
     tap (ky, kx) is then the 2-D slice starting at ky * Wp + kx, R * Wp - (K - 1)
     long, which BLAS reads in place. Each row of that slice also holds K - 1
-    wrap-around columns, computed and then dropped. With `stacked_weights`,
-    one matmul contracts all taps at once over the K*K windows stacked;
-    otherwise one matmul per tap runs over the maps `tap_maps` keeps there,
-    into a scratch added to the sums. The sums become int64 in place.
+    wrap-around columns, computed and later dropped (the last K - 1 are zeros).
+    With `stacked_weights`, one matmul contracts all taps at once over the K*K
+    windows stacked; otherwise one matmul per tap runs over the maps `tap_maps`
+    keeps there, into a scratch added to the sums.
     """
     k, m = qlayer.spec.kernel, qlayer.spec.out_maps
     n, rows, wp = padded.shape
-    r, w = rows - (k - 1), wp - (k - 1)
+    r = rows - (k - 1)
     flat = np.ascontiguousarray(padded, dtype=np.float64).reshape(n, rows * wp)
     span = r * wp - (k - 1)
     offsets = [ky * wp + kx for ky in range(k) for kx in range(k)]
@@ -202,10 +215,42 @@ def _blas_sums(qlayer: QuantizedLayer, padded: np.ndarray) -> np.ndarray:
                 prod = tmp[:len(wt)]
                 np.matmul(wt, flat[:, o:o + span], out=prod)
                 acc[maps, :span] += prod
-    flat_acc = acc.reshape(-1)
+    return acc
+
+
+def _int64_rows(acc: np.ndarray, r: int, w: int) -> np.ndarray:
+    """The (M, R * Wp) float64 buffer of integers converted to int64 in place,
+    as an (M, R, W) view without the wrap-around columns."""
+    flat = acc.reshape(-1)
     # 1-D onto its own buffer, copyto converts in place (a 2-D source is copied first)
-    np.copyto(flat_acc.view(np.int64), flat_acc, casting="unsafe")
-    return flat_acc.view(np.int64).reshape(m, r, wp)[:, :, :w]
+    np.copyto(flat.view(np.int64), flat, casting="unsafe")
+    return flat.view(np.int64).reshape(len(acc), r, -1)[:, :, :w]
+
+
+def _rint_epilogue(acc: np.ndarray, qlayer: QuantizedLayer, bits: int,
+                   qa: QFormat) -> np.ndarray:
+    """PReLU, requantization and saturation of exact float64 sums, in place.
+
+    Under the guard bound * max(1, max |slope|) < 2**53 each sum v and each
+    v * slope is an integer below 2**53, and 2**-bits scales exactly, so every
+    product here is exact and rint, which rounds half to even, rounds as
+    _rshift_half_even_into does. With c = slope * 2**-bits, PReLU rounded is
+    max(v, rint(c * v)) where c <= 1 and min(v, rint(c * v)) where c >= 1 (v is
+    an integer); the min is taken as -max(-v, rint(c * -v)), on rows negated
+    first and negated back by the final scaling.
+    """
+    scale = 2.0 ** -bits
+    if qlayer.prelu_raw is not None:
+        c = qlayer.prelu_raw[:, None] * scale
+        if c.max() > 1:
+            flip = np.where(c > 1, -1.0, 1.0)
+            acc *= flip
+            scale = flip * scale
+        cv = np.multiply(acc, c)
+        np.maximum(acc, np.rint(cv, out=cv), out=acc)
+    acc *= scale
+    np.rint(acc, out=acc)
+    return np.clip(acc, qa.min_raw, qa.max_raw, out=acc)
 
 
 def quantized_conv_rows(qlayer: QuantizedLayer, padded: np.ndarray,
@@ -218,23 +263,36 @@ def quantized_conv_rows(qlayer: QuantizedLayer, padded: np.ndarray,
     so they agree bitwise.
 
     The sums are exact integers on both of its paths. Every partial sum, in
-    any order, is at most max_m sum |w[m]| * 2**(bits - 1) + max |bias| in
-    magnitude, as no code exceeds 2**(bits - 1). When that bound is below
+    any order, is at most bound = max_m sum |w[m]| * 2**(bits - 1) + max |bias|
+    in magnitude, as no code exceeds 2**(bits - 1). When that bound is below
     2**53, float64 holds every partial sum exactly, so the BLAS matmuls of
-    _blas_sums give the same integers as any order would. Otherwise (wide
-    formats) the block runs as int64 through the ordered conv_taps loop.
-    Where that bound times max |slope| reaches 2**63, the PReLU rescale
-    splits each negative sum, so that no product wraps int64.
-    The epilogue works in place with one int64 and one int8 scratch array;
-    it uses no masked (`where=`) ufuncs, which run an order of magnitude
-    slower on int64.
+    _blas_sums give the same integers as any order would. When, moreover,
+    bound * max(1, max |slope|) < 2**53, the PReLU, rounding and saturation
+    finish in float64 too (_rint_epilogue) and the result becomes int64 in
+    place. Otherwise the sums become int64 and the epilogue shifts them with
+    one int64 and one int8 scratch array and no masked (`where=`) ufuncs,
+    which run an order of magnitude slower on int64. Where the bound reaches
+    2**53 (wide formats) the block runs as int64 through the ordered conv_taps
+    loop, after a float64 estimate of its sums shows none reaches 2**62, as
+    int64 sums could wrap past it; where the bound times max |slope| reaches
+    2**63, the PReLU rescale splits each negative sum, so that no product
+    wraps int64.
     """
     bits, qa = qnet.q_weights.frac_bits, qnet.q_activations
     l1, b, p = qlayer.abs_bounds
     bound = (l1 << (qa.total_bits - 1)) + b
+    k = qlayer.spec.kernel
+    r, w = padded.shape[1] - (k - 1), padded.shape[2] - (k - 1)
+    if bound * max(p, 1) < 1 << 53:
+        return _int64_rows(_rint_epilogue(_blas_sums(qlayer, padded), qlayer, bits, qa), r, w)
     if bound < 1 << 53:
-        acc = _blas_sums(qlayer, padded)
+        acc = _int64_rows(_blas_sums(qlayer, padded), r, w)
     else:
+        est = _blas_sums(qlayer, padded).reshape(len(qlayer.weights_raw), r, -1)[:, :, :w]
+        if max(-est.min(), est.max()) >= 2.0 ** 62:
+            raise ConfigurationError(
+                f"fixed-point sums reach 2**62 in a layer at weights {qnet.q_weights}, "
+                f"activations {qa}; int64 accumulation could wrap")
         acc = conv_taps(np.asarray(padded, dtype=np.int64), qlayer.weights_raw,
                         qlayer.bias_raw, qlayer.spec.tap_maps)
     odd = np.empty(acc.shape, dtype=np.int8)

@@ -148,6 +148,12 @@ class TestVerify:
         assert code == 0
         assert report["results"]["failures"] == 0
 
+    def test_kd_alone_runs_stride_2(self, capsys, schema):
+        code, report = run_json(capsys, ["verify-tdc", "--kd", "5", "--trials", "3"], schema)
+        assert code == 0
+        assert report["results"]["configs"] == [
+            {"kd": 5, "stride": 2, "trials": 3, "failures": 0}]
+
 
 class TestDeterminism:
     def test_byte_identical(self, capsys):
@@ -192,6 +198,24 @@ class TestExitCodes:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-tdc", "--kd", "0"],
+        ["verify-tdc", "--kd", "-3"],
+        ["verify-tdc", "--trials", "0"],
+        ["verify-tdc", "--trials", "-1"],
+        ["verify-tdc", "--stride", "3"],
+        ["schedule", "--kd", "5", "--stride", "2", "--pes", "0"],
+        ["cycles", "--model", "custom", "--m", "1", "--n", "1", "--hin", "4", "--win", "0",
+         "--kd", "5", "--stride", "2", "--tm", "1", "--tn", "1"],
+        ["cycles", "--model", "dcgan", "--m", "3"],
+    ], ids=["kd_0", "kd_negative", "trials_0", "trials_negative", "stride_without_kd",
+            "pes_0", "win_0", "layer_flag_with_preset"])
+    def test_bad_count_flags(self, capsys, argv):
+        # accepted and ignored, or a numpy traceback with exit 1, before
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("edit", [
         lambda d: d["conv_layers"][0]["weights"].__setitem__(3, float("nan")),

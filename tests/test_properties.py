@@ -22,8 +22,9 @@ from tdcnet.imageio import read_image, write_image
 from tdcnet.model import (DeconvLayerSpec, FsrcnnConfig, Tensor3, WeightSet, _conv_shapes,
                           conv_layer, parse_weights, save_weights, tap_map_runs)
 from tdcnet.pipeline import infer, infer_streaming
-from tdcnet.quant import (QFormat, QuantizedLayer, QuantizedNetwork, quantize_array,
-                          quantize_value, quantized_conv_rows)
+from tdcnet.quant import (QFormat, QuantizedLayer, QuantizedNetwork,
+                          _rshift_half_even_into, quantize_array, quantize_value,
+                          quantized_conv_rows)
 from tdcnet.reference import conv2d, conv_taps
 from tdcnet.scheduler import schedule_deconv_layer, simulate_dclp
 from tdcnet.tdc import deconv_oracle, deconv_via_transform
@@ -225,6 +226,47 @@ def test_quantized_conv_rows_guard_edge(monkeypatch, k, w, bias, qw, qa, blas):
     monkeypatch.setattr(quant, "conv_taps", lambda *a: loops.append(1) or conv_taps(*a))
     got = quantized_conv_rows(ql, padded.astype(np.float64), qnet)
     assert (not loops) == blas
+    assert np.array_equal(got, quantized_windows(padded, ql, qnet))
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("slope, bound, frac, rint", [
+    # bound * slope = 2**53 - 1 = 6361 * 1416003655831: the float64 rint epilogue
+    (6361, (2 ** 53 - 1) // 6361, 22, True),
+    # the same with slope 6361 / 2**12 > 1, whose rows take the negated max
+    (6361, (2 ** 53 - 1) // 6361, 12, True),
+    # bound * slope = 2**53: the int64 shifts
+    (2 ** 13, 2 ** 40, 22, False),
+])
+def test_quantized_conv_rows_epilogue_guard_edge(monkeypatch, k, slope, bound, frac, rint):
+    # one nonzero (centre) weight w and a bias of -b make bound = w * 2**31 + b,
+    # which the true sum reaches at the largest input code magnitude
+    qw, qa = QFormat(32, frac), QFormat(32, 0)
+    w, b = bound >> 31, bound - (bound >> 31 << 31)
+    weights = np.zeros((1, 1, k, k), dtype=np.int64)
+    weights[0, 0, k // 2, k // 2] = w
+    ql, qnet = int_layer(weights, [-b], np.array([slope]), qw, qa)
+    assert ql.abs_bounds == (w, b, slope) and w << 31 == bound - b
+    codes = [qa.min_raw, qa.min_raw + 1, -2 ** 20 - 1, -1, 0, 1, 2 ** 20 + 1, qa.max_raw]
+    padded = np.zeros((1, k, k - 1 + len(codes)), dtype=np.int64)
+    padded[0, k // 2, k // 2:k // 2 + len(codes)] = codes
+    shifts = []
+    monkeypatch.setattr(quant, "_rshift_half_even_into",
+                        lambda *a: shifts.append(1) or _rshift_half_even_into(*a))
+    got = quantized_conv_rows(ql, padded.astype(np.float64), qnet)
+    assert (not shifts) == rint
+    assert np.array_equal(got, quantized_windows(padded, ql, qnet))
+
+
+@pytest.mark.parametrize("frac", [1, 2])
+@pytest.mark.parametrize("slope", [-3, -1, 0, 1, 3, 5])    # slope * 2**-frac up to 2.5
+def test_rint_epilogue_rounds_ties_to_even(frac, slope):
+    # the sums -40..40 through one unit weight: both the PReLU rescale and the
+    # requantization meet ties on odd and even quotients
+    qw, qa = QFormat(8, frac), QFormat(8, 0)
+    ql, qnet = int_layer(np.ones((1, 1, 1, 1), dtype=np.int64), [0], np.array([slope]), qw, qa)
+    padded = np.arange(-40, 41).reshape(1, 1, -1)
+    got = quantized_conv_rows(ql, padded.astype(np.float64), qnet)
     assert np.array_equal(got, quantized_windows(padded, ql, qnet))
 
 

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -46,6 +47,16 @@ class TestQuantizeValue:
         q = QFormat(8, 1)
         assert quantize_value(0.75, q) == 2     # 1.5 -> 2
         assert quantize_value(1.25, q) == 2     # 2.5 -> 2
+
+    def test_saturation_is_silent(self):
+        # 1e308 * 2**31 passes float64's range; the value is clipped first
+        q = QFormat(32, 31)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert quantize_array(np.array([1e308, -1e308]), q).tolist() == [q.max_raw,
+                                                                             q.min_raw]
+            assert quantize_value(1e308, q) == q.max_raw
+            assert quantize_value(-np.inf, q) == q.min_raw
 
     def test_roundtrip_error_bound(self, rng):
         v = rng.uniform(-3, 3, 1000)
@@ -138,6 +149,20 @@ class TestQuantizedForward:
         qnet = quantize_network(NetworkSpec((layer,)), q, q)
         x = rng.integers(q.min_raw, q.max_raw + 1, (2, 4, 5))
         assert np.array_equal(quantized_forward(qnet, x), _python_int_layer(qnet, x))
+
+    def test_wide_sums_refused_not_wrapped(self):
+        # the true sum 3 * (2**31 - 1) * -2**31 = -1.38e19 wrapped int64 to
+        # +2147483647; a single weight's -(2**62 - 2**31) still runs and saturates
+        q = QFormat(32, 0)
+
+        def run(maps):
+            w = np.full((1, maps, 1, 1), 2.0 ** 31 - 1)
+            qnet = quantize_network(NetworkSpec((conv_layer(1, 1, maps, w),)), q, q)
+            return quantized_forward(qnet, np.full((maps, 1, 1), q.min_raw))
+
+        with pytest.raises(ConfigurationError, match=r"2\*\*62"):
+            run(3)
+        assert run(1).tolist() == [[[q.min_raw]]]
 
     def test_wide_formats_track_float(self):
         rng = np.random.default_rng(3)
