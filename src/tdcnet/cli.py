@@ -1,12 +1,14 @@
-"""Command-line front end. Every subcommand emits a machine-readable JSON
-report (schema in tdcnet/schemas/report.schema.json); identical argv + seed
-produce byte-identical output.
+"""Command-line front end. Every subcommand but `sweep-bitwidth` emits a
+machine-readable JSON report (schema in tdcnet/schemas/report.schema.json);
+`sweep-bitwidth` writes CSV rows `bits,psnr_db`. Identical argv + seed produce
+byte-identical output.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/parse error.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -66,11 +68,17 @@ def _emit(args, argv, results, input_files=()):
         sys.stdout.write(text)
 
 
-def _parse_bits(spec: str) -> list[int]:
-    if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(tok) for tok in spec.split(",") if tok]
+def _parse_bits(spec: str) -> range | list[int]:
+    """Bit-widths from "LO..HI" (inclusive) or "B1,B2,..."; none is an error."""
+    lo, dots, hi = spec.partition("..")
+    try:
+        bits = range(int(lo), int(hi) + 1) if dots else [int(t) for t in spec.split(",") if t]
+    except ValueError:
+        bits = []
+    if not bits:
+        raise TdcnetError(f"--bits names no bit-width: {spec!r} "
+                          "(give LO..HI with LO <= HI, or B1,B2,...)")
+    return bits
 
 
 def _load_weight_file(path: str) -> model.WeightSet:
@@ -279,12 +287,15 @@ def _cmd_plan(args, argv):
 
 
 def _cmd_infer(args, argv):
+    if args.mode == "float" and args.bits is not None:
+        raise TdcnetError("--bits applies with --mode fixed only")
     ws = _load_weight_file(args.weights)
     net = ws.network(args.scale)
     image = imageio.read_image(args.input)
     kwargs = {}
     if args.mode == "fixed":
-        q = quant.QFormat(args.bits, args.bits - 4)
+        bits = 13 if args.bits is None else args.bits
+        q = quant.QFormat(bits, bits - 4)
         kwargs = {"q_weights": q, "q_activations": q}
     out = infer(image, net, args.scale, mode=args.mode, **kwargs)
     imageio.write_image(args.output, out)
@@ -297,6 +308,7 @@ def _cmd_infer(args, argv):
 
 
 def _cmd_sweep_bitwidth(args, argv):
+    bits = _parse_bits(args.bits)
     ws = _load_weight_file(args.weights)
     net = ws.network(args.scale)
     exts = (".ppm", ".pgm", ".png")
@@ -307,7 +319,6 @@ def _cmd_sweep_bitwidth(args, argv):
     if not paths:
         raise TdcnetError(f"no .ppm/.pgm/.png images in {args.images}")
     images = [imageio.read_image(p) for p in paths]
-    bits = _parse_bits(args.bits)
     results = quant.sweep_bitwidth(net, images, bits, args.scale)
     lines = "bits,psnr_db\n" + "".join(f"{b},{p:.6f}\n" for b, p in results)
     if args.out:
@@ -320,6 +331,7 @@ def _cmd_sweep_bitwidth(args, argv):
 
 # ------------------------------------------------------------------- parser
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="tdcnet",
@@ -384,7 +396,7 @@ def _build_parser() -> argparse.ArgumentParser:
     i.add_argument("--weights", required=True)
     i.add_argument("--scale", type=int, required=True)
     i.add_argument("--mode", choices=["float", "fixed"], default="float")
-    i.add_argument("--bits", type=int, default=13)
+    i.add_argument("--bits", type=int)
     i.add_argument("--in", dest="input", required=True)
     i.add_argument("--out", dest="output", required=True)
     i.add_argument("--report", dest="out")

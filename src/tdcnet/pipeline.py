@@ -47,7 +47,7 @@ def _luma(net: NetworkSpec, y_plane: np.ndarray, mode: str, q_weights: Optional[
         qa = q_activations or _Q13
         qnet = quantize_network(net, q_weights or _Q13, qa)
         raw = _forward(_layers(None, qnet), quantize_array(x, qa), rows)
-        y = raw[0].astype(np.float64) * qa.step
+        y = raw[0] * qa.step
     return np.clip(np.rint(y * 255.0), 0.0, 255.0)
 
 

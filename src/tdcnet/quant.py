@@ -3,13 +3,12 @@ network in float or fixed point, and the double-MAC product decomposition.
 
 Conventions:
   * round-half-to-even everywhere, saturation at format limits (never wrap);
-  * MACs accumulate exactly at scale 2^(wf + af), in float64 BLAS matmuls
-    while every sum stays below 2^53, else in int64 (a block whose sums reach
-    2^62 is refused, not wrapped), and are requantized to the activation
-    format exactly once per layer output, after bias and activation (the
-    default; a per-value truncating mode is not provided): in float64 with
-    rint while every sum times the PReLU slope code stays below 2^53, else
-    with int64 half-even shifts;
+  * MACs accumulate exactly at scale 2^(wf + af) and are requantized and
+    saturated to the activation format exactly once per layer output, after
+    bias and activation (a per-value truncating mode is not provided);
+  * codes pass between layers as float64 integers (at most 2^31 in magnitude,
+    so exact); int64 holds them only at the public edges (quantize_array,
+    quantized_forward) and where sums may pass 2^53 (see quantized_conv_rows);
   * biases are quantized in the weight format and shifted into the accumulator
     scale exactly, adding no extra error.
 """
@@ -218,18 +217,8 @@ def _blas_sums(qlayer: QuantizedLayer, padded: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _int64_rows(acc: np.ndarray, r: int, w: int) -> np.ndarray:
-    """The (M, R * Wp) float64 buffer of integers converted to int64 in place,
-    as an (M, R, W) view without the wrap-around columns."""
-    flat = acc.reshape(-1)
-    # 1-D onto its own buffer, copyto converts in place (a 2-D source is copied first)
-    np.copyto(flat.view(np.int64), flat, casting="unsafe")
-    return flat.view(np.int64).reshape(len(acc), r, -1)[:, :, :w]
-
-
-def _rint_epilogue(acc: np.ndarray, qlayer: QuantizedLayer, bits: int,
-                   qa: QFormat) -> np.ndarray:
-    """PReLU, requantization and saturation of exact float64 sums, in place.
+def _rint_epilogue(acc: np.ndarray, qlayer: QuantizedLayer, bits: int) -> None:
+    """PReLU and requantization of exact float64 sums, in place, unsaturated.
 
     Under the guard bound * max(1, max |slope|) < 2**53 each sum v and each
     v * slope is an integer below 2**53, and 2**-bits scales exactly, so every
@@ -250,7 +239,6 @@ def _rint_epilogue(acc: np.ndarray, qlayer: QuantizedLayer, bits: int,
         np.maximum(acc, np.rint(cv, out=cv), out=acc)
     acc *= scale
     np.rint(acc, out=acc)
-    return np.clip(acc, qa.min_raw, qa.max_raw, out=acc)
 
 
 def quantized_conv_rows(qlayer: QuantizedLayer, padded: np.ndarray,
@@ -259,65 +247,63 @@ def quantized_conv_rows(qlayer: QuantizedLayer, padded: np.ndarray,
 
     `padded` is (N, R + K - 1, W + K - 1) codes of the activation format, held
     in int64 or float64 (the layer executor builds float64 blocks); returns
-    (M, R, W) int64 raw activations. Shared by the batch and streaming paths
-    so they agree bitwise.
+    (M, R, W) raw activations as float64 integers in a view of _blas_sums'
+    buffer. Shared by the batch and streaming paths so they agree bitwise.
 
     The sums are exact integers on both of its paths. Every partial sum, in
     any order, is at most bound = max_m sum |w[m]| * 2**(bits - 1) + max |bias|
     in magnitude, as no code exceeds 2**(bits - 1). When that bound is below
     2**53, float64 holds every partial sum exactly, so the BLAS matmuls of
     _blas_sums give the same integers as any order would. When, moreover,
-    bound * max(1, max |slope|) < 2**53, the PReLU, rounding and saturation
-    finish in float64 too (_rint_epilogue) and the result becomes int64 in
-    place. Otherwise the sums become int64 and the epilogue shifts them with
-    one int64 and one int8 scratch array and no masked (`where=`) ufuncs,
-    which run an order of magnitude slower on int64. Where the bound reaches
-    2**53 (wide formats) the block runs as int64 through the ordered conv_taps
-    loop, after a float64 estimate of its sums shows none reaches 2**62, as
-    int64 sums could wrap past it; where the bound times max |slope| reaches
-    2**63, the PReLU rescale splits each negative sum, so that no product
-    wraps int64.
+    bound * max(1, max |slope|) < 2**53, the PReLU and rounding finish in
+    float64 too (_rint_epilogue). Otherwise the sums become int64 and the
+    epilogue shifts them with one int8 scratch array and no masked (`where=`)
+    ufuncs, which run an order of magnitude slower on int64. Where the bound
+    reaches 2**53 (wide formats) the block runs as int64 through the ordered
+    conv_taps loop, after a float64 estimate of its sums shows none reaches
+    2**62, as int64 sums could wrap past it. Either epilogue's codes are
+    saturated at the end, into the float64 result.
     """
     bits, qa = qnet.q_weights.frac_bits, qnet.q_activations
     l1, b, p = qlayer.abs_bounds
     bound = (l1 << (qa.total_bits - 1)) + b
     k = qlayer.spec.kernel
     r, w = padded.shape[1] - (k - 1), padded.shape[2] - (k - 1)
+    sums = _blas_sums(qlayer, padded)
+    acc = rows = sums.reshape(len(sums), r, -1)[:, :, :w]   # without the wrap-around columns
     if bound * max(p, 1) < 1 << 53:
-        return _int64_rows(_rint_epilogue(_blas_sums(qlayer, padded), qlayer, bits, qa), r, w)
-    if bound < 1 << 53:
-        acc = _int64_rows(_blas_sums(qlayer, padded), r, w)
+        _rint_epilogue(sums, qlayer, bits)          # in place, so `rows` holds the codes
     else:
-        est = _blas_sums(qlayer, padded).reshape(len(qlayer.weights_raw), r, -1)[:, :, :w]
-        if max(-est.min(), est.max()) >= 2.0 ** 62:
+        if bound < 1 << 53:
+            acc = rows.astype(np.int64)
+        elif max(-rows.min(), rows.max()) >= 2.0 ** 62:
             raise ConfigurationError(
                 f"fixed-point sums reach 2**62 in a layer at weights {qnet.q_weights}, "
                 f"activations {qa}; int64 accumulation could wrap")
-        acc = conv_taps(np.asarray(padded, dtype=np.int64), qlayer.weights_raw,
-                        qlayer.bias_raw, qlayer.spec.tap_maps)
-    odd = np.empty(acc.shape, dtype=np.int8)
-    if qlayer.prelu_raw is not None:
-        # v >= 0 passes and v < 0 becomes round(v * slope); since round(0) = 0,
-        # the sum of the two parts is PReLU on every sample
-        neg = np.minimum(acc, 0)
-        acc -= neg
-        slope = qlayer.prelu_raw[:, None, None]
-        if bound * p < 1 << 63:
-            neg *= slope
         else:
-            # neg = hi * 2**bits + lo: hi * slope, less its low bit, is added apart and
-            # that bit joins lo * slope, so the rounding sees the quotient's parity; hi
-            # is held where |hi * slope| passes 2**31 + 1 output steps (saturated anyway)
+            acc = conv_taps(np.asarray(padded, dtype=np.int64), qlayer.weights_raw,
+                            qlayer.bias_raw, qlayer.spec.tap_maps)
+        odd = np.empty(acc.shape, dtype=np.int8)
+        if qlayer.prelu_raw is not None:
+            # v >= 0 passes and v < 0 becomes round(v * slope); since round(0) = 0,
+            # the sum of the two parts is PReLU on every sample
+            neg = np.minimum(acc, 0)
+            acc -= neg
+            slope = qlayer.prelu_raw[:, None, None]
+            # neg = hi * 2**bits + lo, so that no product wraps int64 where neg * slope
+            # would: hi * slope, less its low bit, is added apart and that bit joins
+            # lo * slope, so the rounding sees the quotient's parity; hi is held where
+            # |hi * slope| passes 2**31 + 1 output steps (saturated anyway)
             cap = ((1 << 31) + 1 << bits) // np.maximum(np.abs(slope), 1) + 2
             hi = np.maximum(neg >> bits, -cap) * slope
             neg &= (1 << bits) - 1
             neg *= slope
             neg += (hi & 1) << bits
             acc += hi & -2
-        _rshift_half_even_into(neg, bits, odd)
-        acc += neg
-    _rshift_half_even_into(acc, bits, odd)
-    return np.clip(acc, qa.min_raw, qa.max_raw, out=acc)
+            _rshift_half_even_into(neg, bits, odd)
+            acc += neg
+        _rshift_half_even_into(acc, bits, odd)
+    return np.clip(acc, qa.min_raw, qa.max_raw, out=rows)
 
 
 class _Layer:
@@ -325,8 +311,9 @@ class _Layer:
 
     `run` maps a zero-padded (N, R + K - 1, W + K - 1) block to (M, R, W)
     outputs (conv_rows in float, quantized_conv_rows in fixed point), and a
-    nonzero `scale` moves the deconv's phases to space afterwards. Blocks are
-    float64 in both modes; fixed-point codes (at most 2**31) are exact in it.
+    nonzero `scale` moves the deconv's phases to space afterwards. Blocks and
+    outputs are float64 in both modes: fixed-point codes are integers of at
+    most 2**31 in magnitude, exact in float64, so no layer converts them.
     Between pushes the layer keeps its last K - 1 padded input rows, none for 1x1.
     """
 
@@ -391,8 +378,8 @@ def _forward(layers: list[_Layer], x: np.ndarray, rows: Optional[int] = None,
 
 def quantized_forward(qnet: QuantizedNetwork, x_raw: np.ndarray,
                       collect: bool = False):
-    """Run the integer chain on raw input (C, H, W); returns raw output
-    (and per-layer raw activations when collect=True).
+    """Run the integer chain on raw input (C, H, W); returns int64 raw output
+    (and per-layer int64 raw activations when collect=True).
 
     Every input code must lie in the activation format: the exactness guard
     of quantized_conv_rows and fixed_point_error_bound both assume it.
@@ -406,7 +393,8 @@ def quantized_forward(qnet: QuantizedNetwork, x_raw: np.ndarray,
             f"raw input codes must lie in [{qa.min_raw}, {qa.max_raw}] of {qa}")
     trace = [] if collect else None
     out = _forward(_layers(None, qnet), np.asarray(raw, dtype=np.int64), trace=trace)
-    return (out, trace) if collect else out
+    out = out.astype(np.int64)
+    return (out, [t.astype(np.int64) for t in trace]) if collect else out
 
 
 def float_forward(net: NetworkSpec, x: Tensor3, collect: bool = False):
@@ -416,10 +404,9 @@ def float_forward(net: NetworkSpec, x: Tensor3, collect: bool = False):
     return (out, [Tensor3(t) for t in trace]) if collect else out
 
 
-def fixed_point_error_bound(net: NetworkSpec, qnet: QuantizedNetwork,
-                            input_max: float = 1.0,
-                            input_err: Optional[float] = None) -> list[float]:
-    """Per-layer worst-case |fixed - float| bound by interval propagation.
+def fixed_point_error_bound(net: NetworkSpec, qnet: QuantizedNetwork) -> list[float]:
+    """Per-layer worst-case |fixed - float| bound by interval propagation, for
+    inputs in [-1, 1] quantized to the nearest activation code.
 
     Uses the actual quantization residuals of the quantized network, the PReLU
     rescale rounding, and the per-layer requantization step. Valid only while
@@ -427,10 +414,8 @@ def fixed_point_error_bound(net: NetworkSpec, qnet: QuantizedNetwork,
     representable range.
     """
     qw, qa = qnet.q_weights, qnet.q_activations
-    if input_err is None:
-        input_err = 0.5 * qa.step
-    amp = input_max          # bound on |float activation|
-    err = input_err          # bound on |fixed - float|
+    amp = 1.0                # bound on |float activation|
+    err = 0.5 * qa.step      # bound on |fixed - float|
     bounds = []
     for conv, qlayer in zip((c for c, _ in _inference_convs(net)), qnet.layers):
         w = conv.weights
@@ -511,10 +496,10 @@ def sweep_bitwidth(net: NetworkSpec, images: Sequence[np.ndarray],
         arr = img.astype(np.float64)
         return arr.transpose(2, 0, 1) if arr.ndim == 3 else arr
 
+    formats = [QFormat(b, b - 4) for b in bits]       # every width checked up front
     float_outputs = [infer(img, net, scale, mode="float") for img in images]
     results = []
-    for b in bits:
-        q = QFormat(b, b - 4)
+    for b, q in zip(bits, formats):
         values = []
         for img, ref in zip(images, float_outputs):
             out = infer(img, net, scale, mode="fixed", q_weights=q, q_activations=q)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from tdcnet import imageio
+from tdcnet import cli, imageio
 from tdcnet.cli import main
 from tdcnet.errors import ConfigurationError
 
@@ -244,6 +244,40 @@ class TestExitCodes:
         self._expect_one_error_line(capsys, [
             "infer", "--weights", weight_file, "--scale", "2",
             "--in", str(src), "--out", str(tmp_path / "out.pgm")])
+
+    @pytest.mark.parametrize("bits", ["8..x", "abc", ",", "9..8"])
+    def test_bad_sweep_bits(self, capsys, tmp_path, weight_file, rng, bits):
+        # a ValueError traceback with exit 1, or a header-only CSV with exit 0, before
+        imgs = tmp_path / "imgs"
+        imgs.mkdir()
+        imageio.write_image(imgs / "a.pgm", rng.integers(0, 256, (5, 5)).astype(np.uint8))
+        self._expect_one_error_line(capsys, [
+            "sweep-bitwidth", "--weights", weight_file, "--scale", "2",
+            "--bits", bits, "--images", str(imgs)])
+        assert capsys.readouterr().out == ""
+
+    def test_bits_with_float_mode(self, capsys, tmp_path, weight_file, rng):
+        # accepted and ignored before
+        src = tmp_path / "in.pgm"
+        imageio.write_image(src, rng.integers(0, 256, (5, 5)).astype(np.uint8))
+        self._expect_one_error_line(capsys, [
+            "infer", "--weights", weight_file, "--scale", "2", "--mode", "float",
+            "--bits", "16", "--in", str(src), "--out", str(tmp_path / "out.pgm")])
+        assert not (tmp_path / "out.pgm").exists()
+
+    def test_back_to_back_calls(self, capsys, tmp_path, weight_file, rng):
+        # one parser serves every call; no call's flags or failure reach the next
+        src = tmp_path / "in.pgm"
+        imageio.write_image(src, rng.integers(0, 256, (5, 4)).astype(np.uint8))
+        base = ["infer", "--weights", weight_file, "--scale", "2", "--in", str(src)]
+        out = [tmp_path / f"out{i}.pgm" for i in range(3)]
+        assert main(base + ["--mode", "fixed", "--bits", "13", "--out", str(out[0])]) == 0
+        assert main(base + ["--bits", "16", "--out", str(out[1])]) == 2
+        assert main(["verify-tdc", "--kd", "0"]) == 2
+        assert main(base + ["--mode", "fixed", "--out", str(out[2])]) == 0
+        assert main(["verify-tdc", "--kd", "3", "--trials", "2"]) == 0
+        assert out[0].read_bytes() == out[2].read_bytes() and not out[1].exists()
+        assert cli._build_parser() is cli._build_parser()
 
 
 class TestInferCli:

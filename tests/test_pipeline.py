@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tdcnet import quant
 from tdcnet.errors import ConfigurationError, DimensionError
 from tdcnet.model import NetworkSpec, Tensor3, conv_layer
 from tdcnet.pipeline import StreamStats, infer, infer_streaming
@@ -105,16 +106,28 @@ class TestStreaming:
             assert np.array_equal(infer_streaming(img, net, 2),
                                   infer(img, net, 2))
 
-    def test_equals_batch_fixed_bitwise(self, rng):
+    # the float64 rint epilogue on BLAS sums, the int64 shift epilogue on BLAS
+    # sums, and the int64 conv_taps loop with the shift epilogue
+    @pytest.mark.parametrize("q, shifts, loops", [
+        (Q13, False, False), (QFormat(24, 20), True, False), (QFormat(32, 28), True, True),
+    ], ids=["q13_rint", "q24_shift", "q32_loop"])
+    def test_equals_batch_fixed_bitwise(self, monkeypatch, rng, q, shifts, loops):
+        calls = {"shifts": 0, "loops": 0}
+        def count(key, fn):
+            return lambda *a: calls.__setitem__(key, calls[key] + 1) or fn(*a)
+        monkeypatch.setattr(quant, "_rshift_half_even_into",
+                            count("shifts", quant._rshift_half_even_into))
+        monkeypatch.setattr(quant, "conv_taps", count("loops", quant.conv_taps))
         for _ in range(8):
             net = random_net(rng)
             img = rng.integers(0, 256, (int(rng.integers(1, 8)),
                                         int(rng.integers(2, 8)))).astype(np.uint8)
             a = infer_streaming(img, net, 2, mode="fixed",
-                                q_weights=Q13, q_activations=Q13)
+                                q_weights=q, q_activations=q)
             b = infer(img, net, 2, mode="fixed",
-                      q_weights=Q13, q_activations=Q13)
+                      q_weights=q, q_activations=q)
             assert np.array_equal(a, b)
+        assert (bool(calls["shifts"]), bool(calls["loops"])) == (shifts, loops)
 
     def test_one_row_image(self, rng):
         net = random_net(rng, scale=2)

@@ -201,7 +201,7 @@ def int_layers(draw):
 def test_quantized_conv_rows_matches_windows(case, dtype):
     ql, qnet, padded = case
     got = quantized_conv_rows(ql, padded.astype(dtype), qnet)
-    assert got.dtype == np.int64
+    assert got.dtype == np.float64 and np.array_equal(got, np.rint(got))
     assert np.array_equal(got, quantized_windows(padded, ql, qnet))
 
 
