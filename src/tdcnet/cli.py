@@ -39,6 +39,9 @@ FSRCNN_DECONV = {"m": 1, "n": 56, "kd": 9}
 FSRCNN_PIXELS = 9362
 # Layer flags of `cycles --model custom`; --win defaults to --hin.
 CUSTOM_FLAGS = ("m", "n", "hin", "win", "kd", "stride", "tm", "tn")
+# --bits widths: QFormat(b, b - 4) keeps a sign and 3 integer bits and
+# holds at most 32 bits
+BITS = range(4, 33)
 
 
 def _digest(argv: list[str], files: list[str]) -> str:
@@ -78,7 +81,14 @@ def _parse_bits(spec: str) -> range | list[int]:
     if not bits:
         raise TdcnetError(f"--bits names no bit-width: {spec!r} "
                           "(give LO..HI with LO <= HI, or B1,B2,...)")
+    _check_bits(*((bits[0], bits[-1]) if dots else bits))
     return bits
+
+
+def _check_bits(*widths: int) -> None:
+    for b in widths:
+        if b not in BITS:
+            raise TdcnetError(f"--bits must lie in {BITS[0]}..{BITS[-1]}, got {b}")
 
 
 def _load_weight_file(path: str) -> model.WeightSet:
@@ -295,6 +305,7 @@ def _cmd_infer(args, argv):
     kwargs = {}
     if args.mode == "fixed":
         bits = 13 if args.bits is None else args.bits
+        _check_bits(bits)
         q = quant.QFormat(bits, bits - 4)
         kwargs = {"q_weights": q, "q_activations": q}
     out = infer(image, net, args.scale, mode=args.mode, **kwargs)
@@ -396,7 +407,8 @@ def _build_parser() -> argparse.ArgumentParser:
     i.add_argument("--weights", required=True)
     i.add_argument("--scale", type=int, required=True)
     i.add_argument("--mode", choices=["float", "fixed"], default="float")
-    i.add_argument("--bits", type=int)
+    i.add_argument("--bits", type=int,
+                   help=f"fixed-point width, {BITS[0]}..{BITS[-1]} (default 13)")
     i.add_argument("--in", dest="input", required=True)
     i.add_argument("--out", dest="output", required=True)
     i.add_argument("--report", dest="out")
@@ -405,7 +417,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sw = sub.add_parser("sweep-bitwidth", help="fixed-vs-float PSNR per bit-width")
     sw.add_argument("--weights", required=True)
     sw.add_argument("--scale", type=int, required=True)
-    sw.add_argument("--bits", default="8..16")
+    sw.add_argument("--bits", default="8..16",
+                    help=f"widths LO..HI or B1,B2,..., each {BITS[0]}..{BITS[-1]} "
+                         "(default 8..16)")
     sw.add_argument("--images", required=True)
     sw.add_argument("--out")
     sw.set_defaults(func=_cmd_sweep_bitwidth)

@@ -112,34 +112,6 @@ class QuantizedLayer:
     depth_to_space: int                 # 0 for plain conv, else the deconv scale
 
     @cached_property
-    def stacked_weights(self) -> Optional[np.ndarray]:
-        """(M, N*K*K) float64 weights in (n, ky, kx) order when the layer's BLAS
-        contraction is one matmul over its stacked tap windows, else None.
-
-        That is when the stack costs no more memory than the per-tap path's
-        (M, .) product scratch: it is the block itself for K = 1, and a copy
-        of N*K*K rows, no more than M, otherwise.
-        """
-        m, n, k, _ = self.weights_raw.shape
-        if k > 1 and n * k * k > m:
-            return None
-        return np.ascontiguousarray(self.weights_raw.reshape(m, -1), dtype=np.float64)
-
-    @cached_property
-    def tap_matrices(self) -> tuple[tuple[slice, Optional[np.ndarray]], ...]:
-        """Per tap (ky, kx): the output maps `spec.tap_maps` keeps there and
-        their (M_live, N) weights as one contiguous float64 matrix (None when
-        no map is live), for the per-tap BLAS contraction. A float zero
-        quantizes to zero, so the float spec's live maps cover the codes'."""
-        k = self.spec.kernel
-        taps = []
-        for t, sl in enumerate(self.spec.tap_maps or (None,) * (k * k)):
-            sl = slice(None) if sl is None else sl
-            wt = self.weights_raw[sl, :, t // k, t % k]
-            taps.append((sl, np.ascontiguousarray(wt, dtype=np.float64) if len(wt) else None))
-        return tuple(taps)
-
-    @cached_property
     def abs_bounds(self) -> tuple[int, int, int]:
         """Exact ints: max_m sum |weights_raw[m]|, max |bias_raw|, max |prelu_raw| or 0."""
         l1 = np.abs(self.weights_raw).sum(axis=(1, 2, 3))
@@ -182,41 +154,6 @@ def quantize_network(net: NetworkSpec, q_weights: QFormat,
     return QuantizedNetwork(tuple(layers), qw, qa)
 
 
-def _blas_sums(qlayer: QuantizedLayer, padded: np.ndarray) -> np.ndarray:
-    """Bias plus the convolution of integer codes in float64 BLAS matmuls, as
-    an (M, R * Wp) float64 buffer. Exact only under the 2**53 guard.
-
-    The (N, R + K - 1, Wp) block is read as (N, (R + K - 1) * Wp): the window of
-    tap (ky, kx) is then the 2-D slice starting at ky * Wp + kx, R * Wp - (K - 1)
-    long, which BLAS reads in place. Each row of that slice also holds K - 1
-    wrap-around columns, computed and later dropped (the last K - 1 are zeros).
-    With `stacked_weights`, one matmul contracts all taps at once over the K*K
-    windows stacked; otherwise one matmul per tap runs over the maps `tap_maps`
-    keeps there, into a scratch added to the sums.
-    """
-    k, m = qlayer.spec.kernel, qlayer.spec.out_maps
-    n, rows, wp = padded.shape
-    r = rows - (k - 1)
-    flat = np.ascontiguousarray(padded, dtype=np.float64).reshape(n, rows * wp)
-    span = r * wp - (k - 1)
-    offsets = [ky * wp + kx for ky in range(k) for kx in range(k)]
-    acc = np.empty((m, r * wp))
-    if qlayer.stacked_weights is not None:
-        stack = flat if k == 1 else np.stack([flat[:, o:o + span] for o in offsets], axis=1)
-        np.matmul(qlayer.stacked_weights, stack.reshape(-1, span), out=acc[:, :span])
-        acc[:, span:] = 0
-        acc += qlayer.bias_raw[:, None]
-    else:
-        acc[:] = qlayer.bias_raw[:, None]
-        tmp = np.empty((m, span))
-        for o, (maps, wt) in zip(offsets, qlayer.tap_matrices):
-            if wt is not None:
-                prod = tmp[:len(wt)]
-                np.matmul(wt, flat[:, o:o + span], out=prod)
-                acc[maps, :span] += prod
-    return acc
-
-
 def _rint_epilogue(acc: np.ndarray, qlayer: QuantizedLayer, bits: int) -> None:
     """PReLU and requantization of exact float64 sums, in place, unsaturated.
 
@@ -230,7 +167,7 @@ def _rint_epilogue(acc: np.ndarray, qlayer: QuantizedLayer, bits: int) -> None:
     """
     scale = 2.0 ** -bits
     if qlayer.prelu_raw is not None:
-        c = qlayer.prelu_raw[:, None] * scale
+        c = qlayer.prelu_raw[:, None, None] * scale
         if c.max() > 1:
             flip = np.where(c > 1, -1.0, 1.0)
             acc *= flip
@@ -247,42 +184,40 @@ def quantized_conv_rows(qlayer: QuantizedLayer, padded: np.ndarray,
 
     `padded` is (N, R + K - 1, W + K - 1) codes of the activation format, held
     in int64 or float64 (the layer executor builds float64 blocks); returns
-    (M, R, W) raw activations as float64 integers in a view of _blas_sums'
-    buffer. Shared by the batch and streaming paths so they agree bitwise.
+    (M, R, W) raw activations as float64 integers in a view of the buffer
+    conv_taps returned. Shared by the batch and streaming paths so they agree
+    bitwise.
 
     The sums are exact integers on both of its paths. Every partial sum, in
     any order, is at most bound = max_m sum |w[m]| * 2**(bits - 1) + max |bias|
     in magnitude, as no code exceeds 2**(bits - 1). When that bound is below
-    2**53, float64 holds every partial sum exactly, so the BLAS matmuls of
-    _blas_sums give the same integers as any order would. When, moreover,
-    bound * max(1, max |slope|) < 2**53, the PReLU and rounding finish in
-    float64 too (_rint_epilogue). Otherwise the sums become int64 and the
-    epilogue shifts them with one int8 scratch array and no masked (`where=`)
-    ufuncs, which run an order of magnitude slower on int64. Where the bound
-    reaches 2**53 (wide formats) the block runs as int64 through the ordered
-    conv_taps loop, after a float64 estimate of its sums shows none reaches
-    2**62, as int64 sums could wrap past it. Either epilogue's codes are
-    saturated at the end, into the float64 result.
+    2**53, float64 holds every partial sum exactly, so conv_taps' BLAS matmuls
+    on float64 codes give the same integers as any order would. When,
+    moreover, bound * max(1, max |slope|) < 2**53, the PReLU and rounding
+    finish in float64 too (_rint_epilogue). Otherwise the sums become int64
+    and the epilogue shifts them with one int8 scratch array and no masked
+    (`where=`) ufuncs, which run an order of magnitude slower on int64. Where
+    the bound reaches 2**53 (wide formats) the block runs again through
+    conv_taps on int64 codes, after the float64 sums, as an estimate, show
+    none reaches 2**62, as int64 sums could wrap past it. Either epilogue's
+    codes are saturated at the end, into the float64 result.
     """
     bits, qa = qnet.q_weights.frac_bits, qnet.q_activations
     l1, b, p = qlayer.abs_bounds
     bound = (l1 << (qa.total_bits - 1)) + b
-    k = qlayer.spec.kernel
-    r, w = padded.shape[1] - (k - 1), padded.shape[2] - (k - 1)
-    sums = _blas_sums(qlayer, padded)
-    acc = rows = sums.reshape(len(sums), r, -1)[:, :, :w]   # without the wrap-around columns
+    conv = qlayer.weights_raw, qlayer.bias_raw, qlayer.spec.tap_maps
+    acc = sums = conv_taps(np.asarray(padded, dtype=np.float64), *conv)
     if bound * max(p, 1) < 1 << 53:
-        _rint_epilogue(sums, qlayer, bits)          # in place, so `rows` holds the codes
+        _rint_epilogue(sums, qlayer, bits)
     else:
         if bound < 1 << 53:
-            acc = rows.astype(np.int64)
-        elif max(-rows.min(), rows.max()) >= 2.0 ** 62:
+            acc = sums.astype(np.int64)
+        elif max(-sums.min(), sums.max()) >= 2.0 ** 62:
             raise ConfigurationError(
                 f"fixed-point sums reach 2**62 in a layer at weights {qnet.q_weights}, "
                 f"activations {qa}; int64 accumulation could wrap")
         else:
-            acc = conv_taps(np.asarray(padded, dtype=np.int64), qlayer.weights_raw,
-                            qlayer.bias_raw, qlayer.spec.tap_maps)
+            acc = conv_taps(np.asarray(padded, dtype=np.int64), *conv)
         odd = np.empty(acc.shape, dtype=np.int8)
         if qlayer.prelu_raw is not None:
             # v >= 0 passes and v < 0 becomes round(v * slope); since round(0) = 0,
@@ -303,7 +238,7 @@ def quantized_conv_rows(qlayer: QuantizedLayer, padded: np.ndarray,
             _rshift_half_even_into(neg, bits, odd)
             acc += neg
         _rshift_half_even_into(acc, bits, odd)
-    return np.clip(acc, qa.min_raw, qa.max_raw, out=rows)
+    return np.clip(acc, qa.min_raw, qa.max_raw, out=sums)
 
 
 class _Layer:
@@ -356,8 +291,11 @@ def _forward(layers: list[_Layer], x: np.ndarray, rows: Optional[int] = None,
              trace: Optional[list] = None) -> np.ndarray:
     """Push (C, H, W) input through the layers `rows` rows at a time and return
     the last layer's output. rows=None (the whole plane) is batch inference,
-    rows=1 emulates the streaming line buffers; conv_taps makes them agree bit
-    for bit. `trace`, for whole-plane runs, receives every layer's output."""
+    rows=1 emulates the streaming line buffers. They agree bit for bit because
+    conv_taps gives each output row the same matmul shapes for any block
+    height (in float this rests on the BLAS, which
+    test_conv_taps_rows_independent checks). `trace`, for whole-plane runs,
+    receives every layer's output."""
     if x.ndim != 3 or min(x.shape) < 1:
         raise DimensionError(f"expected non-empty (C, H, W) input, got shape {x.shape}")
     h = x.shape[1]

@@ -1,10 +1,11 @@
 """Floating-point oracle implementations of every primitive the models rely on.
 
 These are the ground truth the transformed/scheduled/quantized paths are checked
-against. Per-pixel summation order is fixed (input map outer, kernel row, kernel
-column inner) so results are bit-identical across runs regardless of layout.
-`conv_taps`, the ordered conv executor, also runs the integer layers of `quant`
-whose formats are too wide for its exact float64 BLAS path.
+against. `conv_taps` is the one conv kernel: the float layers, `conv2d`, the
+DCLP simulator and the fixed-point layers of `quant` all run through it. It
+contracts each output row with matmuls of one fixed shape, so a row's float
+result does not depend on how many rows its block holds, and integer codes
+(int64, or float64 under quant's 2**53 guard) sum exactly.
 """
 from __future__ import annotations
 
@@ -19,34 +20,48 @@ from .model import ConvLayerSpec, DeconvLayerSpec, Tensor3
 
 def conv_taps(padded: np.ndarray, weights: np.ndarray, bias: np.ndarray,
               tap_maps: Optional[tuple[Optional[slice], ...]] = None) -> np.ndarray:
-    """Bias plus the valid stride-1 convolution of a padded block.
+    """Bias plus the valid stride-1 convolution of a padded block: the one conv
+    kernel of every float and fixed-point layer.
 
     `padded` is (N, R + K - 1, W + K - 1) and `weights` (M, N, K, K); returns
-    an (M, R, W) accumulator in their common dtype (float64 or int64). Taps run
-    in the fixed per-pixel order (n, ky, kx), each one multiply-add over the
-    output maps `tap_maps[ky * K + kx]` selects (all M where it or `tap_maps`
-    is None), so every output sample sees the same operation sequence for any R:
-    a one-row block and a whole plane agree bit for bit. Skipping only maps
-    whose weights at that tap are all zero leaves every sample unchanged as
-    long as the input is finite.
+    the (M, R, W) sums in their common dtype (float64 or int64), as a view of
+    an (R, M, W) buffer. Each output row is contracted by matmuls of one fixed
+    shape: where K = 1 or N*K*K <= M, one (M, N*K*K) x (N*K*K, W) product over
+    the row's stacked tap windows (for K = 1 the row itself); otherwise, per
+    tap (ky, kx) in order, one (M_t, N) x (N, W) product over the maps
+    `tap_maps[ky * K + kx]` selects (all M where it or `tap_maps` is None),
+    added into the row's sums. A row's arithmetic thus depends on (M, N, K, W)
+    and the tap plan, never on R or on where the block lies, so a one-row
+    block and a whole plane agree bit for bit as long as the BLAS gives a
+    gemm of fixed shape the same bits wherever its operands sit
+    (test_conv_taps_rows_independent). int64 runs numpy's exact integer
+    matmul. Skipping only maps whose weights at that tap are all zero leaves
+    every sample unchanged as long as the input is finite.
     """
-    m, n_in, k, _ = weights.shape
+    m, n, k, _ = weights.shape
     r, w = padded.shape[1] - (k - 1), padded.shape[2] - (k - 1)
-    acc = np.empty((m, r, w), dtype=np.result_type(padded, weights))
-    acc[...] = bias[:, None, None]
+    dtype = np.result_type(padded, weights)
+    rows = padded.transpose(1, 0, 2)                 # (R + K - 1, N, W + K - 1)
+    acc = np.empty((r, m, w), dtype=dtype)
+    if k == 1 or n * k * k <= m:
+        stack = rows if k == 1 else np.stack(
+            [rows[ky:ky + r, :, kx:kx + w] for ky in range(k) for kx in range(k)], axis=2)
+        stacked = weights.reshape(m, -1).astype(dtype, copy=False)   # (n, ky, kx) order
+        np.matmul(stacked, stack.reshape(r, -1, w), out=acc)
+        acc += bias[:, None]
+        return acc.transpose(1, 0, 2)
+    acc[...] = bias[:, None]
     tmp = np.empty_like(acc)
-    # per tap: its maps' accumulator and scratch, weight column and input window
-    whole = (acc, tmp, weights)
-    taps = []
+    taps = np.ascontiguousarray(weights.transpose(2, 3, 0, 1), dtype=dtype)   # (K, K, M, N)
     for t, sl in enumerate(tap_maps or (None,) * (k * k)):
-        a, tm, wt = whole if sl is None else (acc[sl], tmp[sl], weights[sl])
         ky, kx = divmod(t, k)
-        taps.append((a, tm, wt[:, :, ky, kx, None, None], padded[:, ky:ky + r, kx:kx + w]))
-    for n in range(n_in):
-        for a, tm, wt, x in taps:
-            np.multiply(wt[:, n], x[n], out=tm)
-            a += tm
-    return acc
+        sl = slice(None) if sl is None else sl
+        wt = taps[ky, kx, sl]
+        if len(wt):
+            prod = tmp[:, :len(wt)]
+            np.matmul(wt, rows[ky:ky + r, :, kx:kx + w], out=prod)
+            acc[:, sl] += prod
+    return acc.transpose(1, 0, 2)
 
 
 def conv_rows(padded: np.ndarray, layer: ConvLayerSpec) -> np.ndarray:

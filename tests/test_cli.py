@@ -265,6 +265,32 @@ class TestExitCodes:
             "--bits", "16", "--in", str(src), "--out", str(tmp_path / "out.pgm")])
         assert not (tmp_path / "out.pgm").exists()
 
+    @pytest.mark.parametrize("cmd, bits, bad", [
+        ("infer", "3", 3), ("infer", "2", 2), ("infer", "0", 0), ("infer", "33", 33),
+        ("sweep-bitwidth", "3..8", 3), ("sweep-bitwidth", "30..33", 33),
+        ("sweep-bitwidth", "8,2,12", 2),
+    ])
+    def test_bits_out_of_range(self, capsys, tmp_path, weight_file, rng, cmd, bits, bad):
+        # named frac_bits = -1, or a [2, 32] range that 2 and 3 fall outside, before
+        src = tmp_path / "in.pgm"
+        imageio.write_image(src, rng.integers(0, 256, (5, 5)).astype(np.uint8))
+        io = (["--mode", "fixed", "--in", str(src), "--out", str(tmp_path / "out.pgm")]
+              if cmd == "infer" else ["--images", str(tmp_path)])
+        assert main([cmd, "--weights", weight_file, "--scale", "2", "--bits", bits] + io) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: --bits must lie in 4..32, got {bad}\n"
+        assert not (tmp_path / "out.pgm").exists()
+
+    def test_bits_range_edges_and_help(self, capsys, tmp_path, weight_file, rng):
+        src = tmp_path / "in.pgm"
+        imageio.write_image(src, rng.integers(0, 256, (5, 5)).astype(np.uint8))
+        for bits in ("4", "32"):
+            assert main(["infer", "--weights", weight_file, "--scale", "2", "--mode", "fixed",
+                         "--bits", bits, "--in", str(src), "--out", str(tmp_path / "o.pgm")]) == 0
+        for cmd in ("infer", "sweep-bitwidth"):
+            assert main([cmd, "--help"]) == 0
+            assert "4..32" in capsys.readouterr().out
+
     def test_back_to_back_calls(self, capsys, tmp_path, weight_file, rng):
         # one parser serves every call; no call's flags or failure reach the next
         src = tmp_path / "in.pgm"

@@ -1,8 +1,9 @@
-"""Property tests: the shared conv executor and the fixed-point layer (both
-its BLAS contraction and its int64 fallback) against an independent
-sliding-window reference (dense and skipping zero maps), the transform against
-the canvas oracle, the DCLP simulator against faulty schedules, streaming
-against batch inference, and the weight-file and PNM round trips."""
+"""Property tests: the shared conv kernel and the fixed-point layer (both
+its float64 and its int64 contraction) against an independent sliding-window
+reference (dense and skipping zero maps), the kernel's float rows against
+one-row blocks, the transform against the canvas oracle, the DCLP simulator
+against faulty schedules, streaming against batch inference, and the
+weight-file and PNM round trips."""
 import dataclasses
 import json
 import math
@@ -96,6 +97,43 @@ def test_conv_taps_skips_zero_maps(block, dtype, kinds, seed):
     got = conv_taps(padded, weights, bias, plan)
     assert got.dtype == dtype
     assert np.array_equal(got, conv_windows(padded, weights, bias))
+
+
+@st.composite
+def float_row_blocks(draw):
+    """Non-dyadic float weights (stacked or per-tap, some maps zeroed per tap)
+    and a block of R <= 8 rows cut at a drawn row and column offset from a
+    larger padded array."""
+    k = draw(st.sampled_from([1, 3, 5]))
+    stacked = k == 1 or draw(st.booleans())           # conv_taps' rule: N*K*K <= M
+    n = draw(st.integers(1, 2 if stacked else 4))
+    m = draw(st.integers(n * k * k, n * k * k + 3) if stacked and k > 1
+             else st.integers(1, 8 if k == 1 else min(16, n * k * k - 1)))
+    r, w = draw(st.integers(1, 8)), draw(st.integers(1, 12))
+    y0, x0 = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    weights = rng.standard_normal((m, n, k, k)) / 3
+    for t in range(k * k):
+        kind = draw(st.sampled_from(["all", "none", "run", "irregular"]))
+        weights[~_live_pattern(rng, m, kind), :, t // k, t % k] = 0
+    big = rng.standard_normal((n, y0 + r + k - 1 + 2, x0 + w + k - 1 + 2))
+    return big[:, y0:y0 + r + k - 1, x0:x0 + w + k - 1], weights, rng.standard_normal(m)
+
+
+@settings(max_examples=120, deadline=None)
+@given(float_row_blocks())
+def test_conv_taps_rows_independent(case):
+    # the BLAS assumption the float streaming == batch contract rests on: a gemm
+    # of one shape gives the same bits for any number of rows and wherever its
+    # operands lie, so an R-row block equals its one-row slices bit for bit
+    padded, weights, bias = case
+    k = weights.shape[2]
+    plan = tap_map_runs(weights)
+    got = conv_taps(padded, weights, bias, plan)
+    for i in range(got.shape[1]):
+        one = padded[:, i:i + k]
+        assert np.array_equal(got[:, i:i + 1], conv_taps(one, weights, bias, plan))
+        assert np.array_equal(got[:, i:i + 1], conv_taps(one.copy(), weights, bias, plan))
 
 
 @st.composite
@@ -223,7 +261,8 @@ def test_quantized_conv_rows_guard_edge(monkeypatch, k, w, bias, qw, qa, blas):
     ql, qnet = int_layer(weights, [bias], None, qw, qa)
     padded = np.full((1, k, k), qa.min_raw)
     loops = []
-    monkeypatch.setattr(quant, "conv_taps", lambda *a: loops.append(1) or conv_taps(*a))
+    monkeypatch.setattr(quant, "conv_taps", lambda x, *a: (
+        x.dtype == np.int64 and loops.append(1)) or conv_taps(x, *a))   # the int64 pass
     got = quantized_conv_rows(ql, padded.astype(np.float64), qnet)
     assert (not loops) == blas
     assert np.array_equal(got, quantized_windows(padded, ql, qnet))

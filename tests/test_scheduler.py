@@ -175,6 +175,15 @@ class TestCycleModels:
         assert cycles_proposed(1, 56, 9362, 1, 9, 2, 56, 9) == 1376214
         assert cycles_baseline(1, 56, 4 * 9362, 1, 9, 56, 9) == 21233016
 
+    def test_fsrcnn_published_rows_at_nine_phase_tile(self):
+        # the abstract's 108x: a 9-phase output tile (Tm = 9) gives all three
+        # published deconv rows, running s = 4's 16 phases in two passes
+        rows = [cycles_proposed(1, 56, 9362, 1, 9, s, 9, 9) for s in (2, 3, 4)]
+        assert rows == [1376214, 589806, 786408]
+        baseline = cycles_baseline(1, 56, 16 * 9362, 1, 9, 9, 9)
+        assert baseline == 84932064 and baseline / rows[2] == 108.0
+        assert classify_case(1, 9, 4, 9) == (2, 108.0)
+
     def test_degenerate_baseline(self):
         assert cycles_baseline(3, 5, 1, 1, 7, 3, 5) == 49
 
