@@ -5,9 +5,9 @@ The luma channel runs through the network (deconv executed as its transformed
 convolution followed by depth-to-space); chroma is bicubic-upscaled. 8-bit
 samples are normalized to [0, 1] in front of the network and denormalized with
 round-half-to-even afterwards. Both modes push the luma plane through the one
-layer executor of `quant`: batch as one whole-plane push per layer, streaming
-one row at a time, with each layer keeping only its last kernel - 1 input rows.
-The results are identical (exactly in float, bitwise in fixed).
+layer executor of `quant`, each layer keeping only its last kernel - 1 input
+rows between pushes: batch in row tiles sized to stay in cache, streaming one
+row at a time. The results are identical (exactly in float, bitwise in fixed).
 """
 from __future__ import annotations
 
@@ -48,7 +48,8 @@ def _luma(net: NetworkSpec, y_plane: np.ndarray, mode: str, q_weights: Optional[
         qnet = quantize_network(net, q_weights or _Q13, qa)
         raw = _forward(_layers(None, qnet), quantize_array(x, qa), rows)
         y = raw[0] * qa.step
-    return np.clip(np.rint(y * 255.0), 0.0, 255.0)
+    y *= 255.0
+    return np.clip(np.rint(y, out=y), 0.0, 255.0, out=y)
 
 
 def _infer(image, net: NetworkSpec, scale: int, mode: str, q_weights: Optional[QFormat],

@@ -287,30 +287,36 @@ def _layers(net: Optional[NetworkSpec], qnet: Optional[QuantizedNetwork] = None)
     return [_Layer(c, lambda b, c=c: conv_rows(b, c), dts) for c, dts in _inference_convs(net)]
 
 
+_TILE_PIXELS = 3072       # batch row tile, in input pixels: 32 rows of a 96-wide plane
+
+
 def _forward(layers: list[_Layer], x: np.ndarray, rows: Optional[int] = None,
              trace: Optional[list] = None) -> np.ndarray:
     """Push (C, H, W) input through the layers `rows` rows at a time and return
-    the last layer's output. rows=None (the whole plane) is batch inference,
-    rows=1 emulates the streaming line buffers. They agree bit for bit because
-    conv_taps gives each output row the same matmul shapes for any block
-    height (in float this rests on the BLAS, which
-    test_conv_taps_rows_independent checks). `trace`, for whole-plane runs,
-    receives every layer's output."""
+    the last layer's output. rows=None is batch inference, in tiles of
+    max(2, _TILE_PIXELS // W) rows so that each layer's scratch stays in cache
+    rather than spanning the plane; rows=1 emulates the streaming line buffers.
+    Any two tile heights agree bit for bit because conv_taps gives each output
+    row the same matmul shapes for any block height (in float this rests on
+    the BLAS, which test_conv_taps_rows_independent checks). `trace` receives
+    every layer's whole-plane output, its tiles joined in order."""
     if x.ndim != 3 or min(x.shape) < 1:
         raise DimensionError(f"expected non-empty (C, H, W) input, got shape {x.shape}")
-    h = x.shape[1]
-    step = rows or h
-    out = []
+    h, w = x.shape[1:]
+    step = rows or max(2, _TILE_PIXELS // w)
+    out, tiles = [], [[] for _ in layers]
     for r in range(0, h, step):
         cur = x[:, r:r + step]
-        for layer in layers:
+        for layer, kept in zip(layers, tiles):
             cur = layer.push(cur, r + step >= h)
             if cur is None:
                 break
             if trace is not None:
-                trace.append(cur)
+                kept.append(cur)
         else:
             out.append(cur)
+    if trace is not None:
+        trace.extend(np.concatenate(t, axis=1) for t in tiles)
     return out[0] if len(out) == 1 else np.concatenate(out, axis=1)
 
 

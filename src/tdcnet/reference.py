@@ -221,8 +221,10 @@ def ycbcr_to_rgb(y: np.ndarray, cb: np.ndarray, cr: np.ndarray) -> np.ndarray:
     r = y_full + (np.asarray(cr, dtype=np.float64) - 128.0) * (1.0 - _KR) * (255.0 / 112.0)
     b = y_full + (np.asarray(cb, dtype=np.float64) - 128.0) * (1.0 - _KB) * (255.0 / 112.0)
     g = (y_full - _KR * r - _KB * b) / _KG
-    rgb = np.stack([r, g, b], axis=-1)
-    return np.clip(np.rint(rgb), 0, 255).astype(np.uint8)
+    rgb = np.empty(y_full.shape + (3,), dtype=np.uint8)
+    for c, plane in enumerate((r, g, b)):         # rounded and clamped in place
+        rgb[..., c] = np.clip(np.rint(plane, out=plane), 0, 255, out=plane)
+    return rgb
 
 
 def psnr(a, b, border: int = 0) -> float:

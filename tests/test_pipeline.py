@@ -91,6 +91,92 @@ class TestInfer:
             assert infer(img, net, s).shape == (5 * s, 6 * s)
 
 
+def _float_chain(net, x):
+    """Whole-plane float chain: conv2d with explicit padding, then depth-to-space."""
+    cur = Tensor3(x)
+    trace = []
+    for conv, dts in _inference_convs(net):
+        cur = conv2d(cur, conv)
+        if dts:
+            cur = depth_to_space(cur, dts)
+        trace.append(cur.data)
+    return trace
+
+
+def _fixed_chain(qnet, x_raw):
+    """Whole-plane fixed chain: np.pad, quantized_conv_rows, depth-to-space."""
+    raw, trace = x_raw, []
+    for q in qnet.layers:
+        pb, pa = q.spec.pad_before, q.spec.pad_after
+        raw = quantized_conv_rows(q, np.pad(raw, ((0, 0), (pb, pa), (pb, pa))), qnet)
+        if q.depth_to_space:
+            raw = depth_to_space_array(raw, q.depth_to_space)
+        trace.append(raw)
+    return trace
+
+
+def _tile_rows(w):
+    return max(2, quant._TILE_PIXELS // w)
+
+
+class TestRowTiles:
+    """Batch inference runs in row tiles of _tile_rows(W); every tile boundary
+    must leave the output exactly as one whole-plane pass gives it."""
+
+    # a 96-wide plane takes tiles of many rows, the wider one the 2-row floor
+    @pytest.mark.parametrize("w", [96, quant._TILE_PIXELS // 2 + 1])
+    @pytest.mark.parametrize("extra", [-1, 0, 1, "2T+1"])
+    @pytest.mark.parametrize("rgb", [False, True], ids=["grey", "rgb"])
+    @pytest.mark.parametrize("mode", ["float", "fixed"])
+    def test_tiles_cross_boundaries_exactly(self, w, extra, rgb, mode):
+        t = _tile_rows(w)
+        assert t > 2 if w == 96 else t == 2
+        h = 2 * t + 1 if extra == "2T+1" else t + extra
+        rng = np.random.default_rng([w, h, rgb])
+        scale = int(rng.integers(2, 5))
+        net = random_net(rng, scale=scale)
+        img = rng.integers(0, 256, (h, w, 3) if rgb else (h, w)).astype(np.uint8)
+        y, cb, cr = rgb_to_ycbcr(img) if rgb else (img.astype(np.float64), None, None)
+        if mode == "float":
+            luma = _float_chain(net, (y / 255.0)[None])[-1][0] * 255.0
+        else:
+            qnet = quantize_network(net, Q13, Q13)
+            x_raw = quantize_array((y / 255.0)[None], Q13)
+            raw = _fixed_chain(qnet, x_raw)[-1]
+            assert np.array_equal(quantized_forward(qnet, x_raw), raw)
+            luma = raw[0] * Q13.step * 255.0
+        luma = np.clip(np.rint(luma), 0, 255)
+        if rgb:
+            want = ycbcr_to_rgb(luma, bicubic_upscale_plane(cb, scale),
+                                bicubic_upscale_plane(cr, scale))
+        else:
+            want = luma.astype(np.uint8)
+        for run in (infer, infer_streaming):
+            assert np.array_equal(run(img, net, scale, mode=mode), want)
+
+    @pytest.mark.parametrize("w", [17, 1000])
+    def test_trace_is_stitched(self, w):
+        rng = np.random.default_rng(w)
+        net = random_net(rng, scale=3, depth=3)
+        h = 2 * _tile_rows(w) + 3                  # three tiles or more
+        x = rng.uniform(0, 1, (1, h, w))
+        want = _float_chain(net, x)
+        out, trace = quant.float_forward(net, Tensor3(x), collect=True)
+        assert len(trace) == len(want)
+        for got, ref in zip(trace, want):
+            assert np.array_equal(got.data, ref)
+        assert np.array_equal(out.data, want[-1])
+
+        qnet = quantize_network(net, Q13, Q13)
+        x_raw = quantize_array(x, Q13)
+        want = _fixed_chain(qnet, x_raw)
+        out, trace = quantized_forward(qnet, x_raw, collect=True)
+        assert len(trace) == len(want)
+        for got, ref in zip(trace, want):
+            assert got.dtype == np.int64 and np.array_equal(got, ref)
+        assert np.array_equal(out, want[-1])
+
+
 def _luma(net, y_plane):
     from tdcnet.quant import float_forward
     out = float_forward(net, Tensor3((y_plane / 255.0)[None]))

@@ -193,6 +193,39 @@ class TestColor:
         back = ycbcr_to_rgb(*rgb_to_ycbcr(img))
         assert np.abs(back.astype(int) - img.astype(int)).max() <= 1
 
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (7, 1), (17, 13)])
+    def test_ycbcr_to_rgb_matches_stacked_formula(self, shape):
+        def stacked(y, cb, cr):
+            # the whole-image formula: three float64 planes stacked, then rounded
+            y_full = (y - 16.0) * (255.0 / 219.0)
+            r = y_full + (cr - 128.0) * (1.0 - 0.299) * (255.0 / 112.0)
+            b = y_full + (cb - 128.0) * (1.0 - 0.114) * (255.0 / 112.0)
+            g = (y_full - 0.299 * r - 0.114 * b) / 0.587
+            return np.clip(np.rint(np.stack([r, g, b], axis=-1)), 0, 255).astype(np.uint8)
+
+        rng = np.random.default_rng(list(shape))
+        # values far outside the studio ranges convert outside [0, 255]
+        y, cb, cr = (rng.uniform(-60.0, 320.0, shape) for _ in range(3))
+        # grey samples whose R and B land exactly on k + 0.5 (ties round to even)
+        k = np.arange(-3, 259)
+        ties = 16.0 + (k + 0.5) * (219.0 / 255.0)
+        ties = ties[((ties - 16.0) * (255.0 / 219.0)) % 1.0 == 0.5]
+        assert ties.size > 100
+        mask = rng.random(shape) < 0.5
+        mask.flat[0] = True
+        y[mask] = rng.choice(ties, int(mask.sum()))
+        even = np.floor((ties - 16.0) * (255.0 / 219.0)) % 2 == 0
+        y.flat[0] = ties[even][0]                # half to even rounds this one down
+        cb[mask] = cr[mask] = 128.0
+        if y.size > 2:                       # one sample each side of [0, 255]
+            y.flat[-2:], cb.flat[-2:], cr.flat[-2:] = (300.0, -60.0), (300.0, 128.0), (-50.0, 128.0)
+        inputs = [a.copy() for a in (y, cb, cr)]
+        want = stacked(y, cb, cr)
+        got = ycbcr_to_rgb(y, cb, cr)
+        assert got.dtype == np.uint8 and got.shape == shape + (3,)
+        assert got.tobytes() == want.tobytes()
+        assert all(np.array_equal(a, b) for a, b in zip(inputs, (y, cb, cr)))
+
 
 class TestPsnr:
     def test_identical_is_inf(self, rng):
