@@ -282,6 +282,11 @@ def _require(cond: bool, msg: str):
         raise WeightFormatError(msg)
 
 
+def _integer(value, what: str) -> int:
+    _require(type(value) is int, f"{what}: {value!r} is not an integer")  # nor bool
+    return value
+
+
 def _numbers(values, length: int, what: str) -> np.ndarray:
     """`length` finite numbers as a float64 array, else WeightFormatError."""
     try:
@@ -301,8 +306,8 @@ def parse_weights(document: dict) -> WeightSet:
     c = document.get("config")
     _require(isinstance(c, dict), "missing config object")
     try:
-        cfg = FsrcnnConfig(int(c["x"]), int(c["y"]), int(c["z"]),
-                           int(c["kd"]), frozenset(int(s) for s in c["scales"]))
+        cfg = FsrcnnConfig(*(_integer(c[f], f"config {f}") for f in ("x", "y", "z", "kd")),
+                           frozenset(_integer(s, "config scales") for s in c["scales"]))
     except (KeyError, TypeError, ValueError) as e:
         raise WeightFormatError(f"bad config: {e}") from e
 
@@ -320,9 +325,9 @@ def parse_weights(document: dict) -> WeightSet:
     try:
         for entry, (k, m, n) in zip(conv_entries, expected):
             name = entry.get("name", f"conv{len(convs) + 1}")
-            _require(int(entry["kc"]) == k and int(entry["m"]) == m and int(entry["n"]) == n,
-                     f"layer '{name}': declared shape ({entry.get('kc')},{entry.get('m')},"
-                     f"{entry.get('n')}) != config shape ({k},{m},{n})")
+            shape = tuple(_integer(entry[f], f"layer '{name}' {f}") for f in ("kc", "m", "n"))
+            _require(shape == (k, m, n),
+                     f"layer '{name}': declared shape {shape} != config shape ({k}, {m}, {n})")
             w = _numbers(entry["weights"], m * n * k * k, f"layer '{name}' weights")
             b = _numbers(entry["bias"], m, f"layer '{name}' bias")
             prelu = entry.get("prelu")
@@ -332,9 +337,10 @@ def parse_weights(document: dict) -> WeightSet:
             convs.append(conv_layer(k, m, n, w, bias=b, prelu_slope=prelu))
 
         for entry in dec_entries:
-            s = int(entry["scale"])
-            kd = int(entry["kd"])
+            s = _integer(entry["scale"], "deconv scale")
+            kd = _integer(entry["kd"], f"deconv(scale={s}) kd")
             _require(s in cfg.scales, f"deconv scale {s} not in declared scales")
+            _require(s not in by_scale, f"deconv scale {s} given twice")
             _require(kd == cfg.deconv_kernel,
                      f"deconv: kd {kd} != config kd {cfg.deconv_kernel}")
             w = _numbers(entry["weights"], cfg.x * kd * kd, f"deconv(scale={s}) weights")

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DimensionError
 from .model import ConvLayerSpec, DeconvLayerSpec, NetworkSpec, Tensor3
-from .reference import conv_rows, conv_taps, depth_to_space_array, psnr
+from .reference import _prelu_into, conv_rows, conv_taps, depth_to_space_array, psnr
 from .tdc import transform_weights
 
 
@@ -154,30 +154,6 @@ def quantize_network(net: NetworkSpec, q_weights: QFormat,
     return QuantizedNetwork(tuple(layers), qw, qa)
 
 
-def _rint_epilogue(acc: np.ndarray, qlayer: QuantizedLayer, bits: int) -> None:
-    """PReLU and requantization of exact float64 sums, in place, unsaturated.
-
-    Under the guard bound * max(1, max |slope|) < 2**53 each sum v and each
-    v * slope is an integer below 2**53, and 2**-bits scales exactly, so every
-    product here is exact and rint, which rounds half to even, rounds as
-    _rshift_half_even_into does. With c = slope * 2**-bits, PReLU rounded is
-    max(v, rint(c * v)) where c <= 1 and min(v, rint(c * v)) where c >= 1 (v is
-    an integer); the min is taken as -max(-v, rint(c * -v)), on rows negated
-    first and negated back by the final scaling.
-    """
-    scale = 2.0 ** -bits
-    if qlayer.prelu_raw is not None:
-        c = qlayer.prelu_raw[:, None, None] * scale
-        if c.max() > 1:
-            flip = np.where(c > 1, -1.0, 1.0)
-            acc *= flip
-            scale = flip * scale
-        cv = np.multiply(acc, c)
-        np.maximum(acc, np.rint(cv, out=cv), out=acc)
-    acc *= scale
-    np.rint(acc, out=acc)
-
-
 def quantized_conv_rows(qlayer: QuantizedLayer, padded: np.ndarray,
                         qnet: QuantizedNetwork) -> np.ndarray:
     """Integer conv over a horizontally+vertically padded raw input block.
@@ -193,22 +169,27 @@ def quantized_conv_rows(qlayer: QuantizedLayer, padded: np.ndarray,
     in magnitude, as no code exceeds 2**(bits - 1). When that bound is below
     2**53, float64 holds every partial sum exactly, so conv_taps' BLAS matmuls
     on float64 codes give the same integers as any order would. When,
-    moreover, bound * max(1, max |slope|) < 2**53, the PReLU and rounding
-    finish in float64 too (_rint_epilogue). Otherwise the sums become int64
-    and the epilogue shifts them with one int8 scratch array and no masked
-    (`where=`) ufuncs, which run an order of magnitude slower on int64. Where
-    the bound reaches 2**53 (wide formats) the block runs again through
-    conv_taps on int64 codes, after the float64 sums, as an estimate, show
-    none reaches 2**62, as int64 sums could wrap past it. Either epilogue's
-    codes are saturated at the end, into the float64 result.
+    moreover, bound * max(1, max |slope|) < 2**53, every v * slope is an
+    integer below 2**53 and 2**-bits scales exactly, so PReLU and rounding
+    finish in float64, with rint rounding half to even as the int64 shifts
+    do. Otherwise the sums become int64 and are shifted with one int8 scratch
+    array and no masked (`where=`) ufuncs, which run an order of magnitude
+    slower on int64. Where the bound reaches 2**53 (wide formats) the block
+    runs again through conv_taps on int64 codes, after the float64 sums, as
+    an estimate, show none reaches 2**62, as int64 sums could wrap past it.
+    Both paths take PReLU from _prelu_into and saturate into the result.
     """
     bits, qa = qnet.q_weights.frac_bits, qnet.q_activations
     l1, b, p = qlayer.abs_bounds
     bound = (l1 << (qa.total_bits - 1)) + b
     conv = qlayer.weights_raw, qlayer.bias_raw, qlayer.spec.tap_maps
     acc = sums = conv_taps(np.asarray(padded, dtype=np.float64), *conv)
+    slopes = None if qlayer.prelu_raw is None else qlayer.prelu_raw * 2.0 ** -bits
     if bound * max(p, 1) < 1 << 53:
-        _rint_epilogue(sums, qlayer, bits)
+        if slopes is not None:
+            _prelu_into(sums, slopes, lambda v: np.rint(cv := v * slopes[:, None, None], out=cv))
+        sums *= 2.0 ** -bits
+        np.rint(sums, out=sums)
     else:
         if bound < 1 << 53:
             acc = sums.astype(np.int64)
@@ -219,24 +200,22 @@ def quantized_conv_rows(qlayer: QuantizedLayer, padded: np.ndarray,
         else:
             acc = conv_taps(np.asarray(padded, dtype=np.int64), *conv)
         odd = np.empty(acc.shape, dtype=np.int8)
-        if qlayer.prelu_raw is not None:
-            # v >= 0 passes and v < 0 becomes round(v * slope); since round(0) = 0,
-            # the sum of the two parts is PReLU on every sample
-            neg = np.minimum(acc, 0)
-            acc -= neg
+        if slopes is not None:
             slope = qlayer.prelu_raw[:, None, None]
-            # neg = hi * 2**bits + lo, so that no product wraps int64 where neg * slope
-            # would: hi * slope, less its low bit, is added apart and that bit joins
-            # lo * slope, so the rounding sees the quotient's parity; hi is held where
-            # |hi * slope| passes 2**31 + 1 output steps (saturated anyway)
             cap = ((1 << 31) + 1 << bits) // np.maximum(np.abs(slope), 1) + 2
-            hi = np.maximum(neg >> bits, -cap) * slope
-            neg &= (1 << bits) - 1
-            neg *= slope
-            neg += (hi & 1) << bits
-            acc += hi & -2
-            _rshift_half_even_into(neg, bits, odd)
-            acc += neg
+            def product(v):
+                # v = hi * 2**bits + lo, so that no product wraps int64 where v * slope
+                # would: hi * slope, less its low bit, is added apart and that bit joins
+                # lo * slope, so the rounding sees the quotient's parity. hi is clamped at
+                # +-cap, past which |hi * slope| > T = (2**31 + 1) * 2**bits: then, for sums
+                # of either sign, max(v, product) is v or beyond +-T, as with the true
+                # product, and the final shift saturates it alike
+                hi = np.clip(v >> bits, -cap, cap) * slope
+                sv = (v & (1 << bits) - 1) * slope
+                sv += (hi & 1) << bits
+                _rshift_half_even_into(sv, bits, odd)
+                return sv + (hi & -2)
+            _prelu_into(acc, slopes, product)
         _rshift_half_even_into(acc, bits, odd)
     return np.clip(acc, qa.min_raw, qa.max_raw, out=sums)
 

@@ -64,11 +64,26 @@ def conv_taps(padded: np.ndarray, weights: np.ndarray, bias: np.ndarray,
     return acc.transpose(1, 0, 2)
 
 
+def _prelu_into(v: np.ndarray, slopes: np.ndarray, product) -> None:
+    """PReLU in place on (M, R, W) sums, for float and fixed-point layers alike:
+    max(v, s * v) where s <= 1, and where s > 1 min(v, s * v), the max on rows
+    negated before and after. `product(v)` gives slope * v per map for the M
+    `slopes`, plain in float and rounded half to even in fixed point."""
+    steep = slopes > 1
+    flip = steep.any()
+    if flip:
+        v[steep] *= -1
+    np.maximum(v, product(v), out=v)
+    if flip:
+        v[steep] *= -1
+
+
 def conv_rows(padded: np.ndarray, layer: ConvLayerSpec) -> np.ndarray:
     """One float layer over a padded block: conv_taps, then PReLU in place."""
     out = conv_taps(padded, layer.weights, layer.bias, layer.tap_maps)
-    if layer.prelu_slope is not None:
-        np.multiply(out, layer.prelu_slope[:, None, None], out=out, where=out < 0)
+    s = layer.prelu_slope
+    if s is not None:
+        _prelu_into(out, s, lambda v: v * s[:, None, None])
     return out
 
 
@@ -180,19 +195,19 @@ def _bicubic_axis(plane: np.ndarray, scale: int, axis: int) -> np.ndarray:
     return out
 
 
+def bicubic_upscale_plane(plane: np.ndarray, scale: int) -> np.ndarray:
+    """Separable Keys bicubic (a = -0.5) upscale of a non-empty 2-D plane."""
+    plane = np.asarray(plane, dtype=np.float64)
+    if plane.ndim != 2 or plane.size == 0 or scale < 1:
+        raise DimensionError(f"expected a non-empty 2-D plane, scale >= 1: {plane.shape}, {scale}")
+    return _bicubic_axis(_bicubic_axis(plane, scale, 0), scale, 1)
+
+
 def bicubic_upscale(plane: Tensor3, scale: int) -> Tensor3:
-    """Separable Keys bicubic (a = -0.5) upscale of a single-channel plane."""
+    """bicubic_upscale_plane of a single-channel Tensor3."""
     if plane.channels != 1:
         raise DimensionError("bicubic_upscale expects a single-channel plane")
-    if scale < 1:
-        raise DimensionError("scale must be >= 1")
-    out = _bicubic_axis(_bicubic_axis(plane.data[0], scale, 0), scale, 1)
-    return Tensor3(out[None])
-
-
-def bicubic_upscale_plane(plane: np.ndarray, scale: int) -> np.ndarray:
-    """2-D array convenience wrapper around bicubic_upscale."""
-    return bicubic_upscale(Tensor3(np.asarray(plane, dtype=np.float64)[None]), scale).data[0]
+    return Tensor3(bicubic_upscale_plane(plane.data[0], scale)[None])
 
 
 # ITU-R BT.601 studio swing (Y in [16,235], Cb/Cr in [16,240])

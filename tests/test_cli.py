@@ -236,6 +236,22 @@ class TestExitCodes:
             "--in", str(src), "--out", str(tmp_path / "out.pgm")])
         assert not (tmp_path / "out.pgm").exists()
 
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["deconv"].append(dict(d["deconv"][0])),
+        lambda d: d["config"].__setitem__("x", 4.7),
+    ], ids=["deconv_scale_twice", "fractional_x"])
+    def test_ambiguous_weight_fields(self, capsys, tmp_path, rng, edit):
+        # exit 0, with the last deconv of a scale or int(4.7) = 4, before
+        doc = random_weight_doc(rng)
+        edit(doc)
+        weights, src = tmp_path / "w.json", tmp_path / "in.pgm"
+        weights.write_text(json.dumps(doc))
+        imageio.write_image(src, rng.integers(0, 256, (5, 5)).astype(np.uint8))
+        self._expect_one_error_line(capsys, [
+            "infer", "--weights", str(weights), "--scale", "2",
+            "--in", str(src), "--out", str(tmp_path / "out.pgm")])
+        assert not (tmp_path / "out.pgm").exists()
+
     @pytest.mark.parametrize("header", [b"P5\nab 2\n255\n",
                                         b"P5\n4000000 4000000\n255\n"])
     def test_bad_image_header(self, capsys, tmp_path, weight_file, header):

@@ -118,3 +118,29 @@ class TestWeightFile:
         doc["deconv"][0]["scale"] = 3
         with pytest.raises(WeightFormatError):
             parse_weights(doc)
+
+    def test_deconv_scale_given_twice(self, rng):
+        # the last entry of a scale would silently win
+        doc = random_weight_doc(rng, scales=(2, 3))
+        doc["deconv"][1]["scale"] = 2
+        with pytest.raises(WeightFormatError, match="scale 2 given twice"):
+            parse_weights(doc)
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["config"].__setitem__("x", 4.7),
+        lambda d: d["config"].__setitem__("y", 2.0),
+        lambda d: d["config"].__setitem__("z", True),
+        lambda d: d["config"].__setitem__("kd", "5"),
+        lambda d: d["config"].__setitem__("scales", [2.5]),
+        lambda d: d["conv_layers"][0].__setitem__("n", True),
+        lambda d: d["conv_layers"][1].__setitem__("kc", 1.0),
+        lambda d: d["deconv"][0].__setitem__("scale", "2"),
+        lambda d: d["deconv"][0].__setitem__("kd", 5.0),
+    ], ids=["x_fraction", "y_float", "z_bool", "kd_string", "scale_fraction", "n_bool",
+            "kc_float", "deconv_scale_string", "deconv_kd_float"])
+    def test_integer_fields_must_be_integers(self, rng, edit):
+        # each was truncated or coerced by int() before
+        doc = random_weight_doc(rng)
+        edit(doc)
+        with pytest.raises(WeightFormatError, match="not an integer"):
+            parse_weights(doc)

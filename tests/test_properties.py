@@ -1,6 +1,7 @@
 """Property tests: the shared conv kernel and the fixed-point layer (both
-its float64 and its int64 contraction) against an independent sliding-window
-reference (dense and skipping zero maps), the kernel's float rows against
+its float64 and its int64 contraction, with slopes on both sides of 1)
+against an independent sliding-window reference (dense and skipping zero
+maps), the float PReLU against its oracle, the kernel's float rows against
 one-row blocks, the transform against the canvas oracle, the DCLP simulator
 against faulty schedules, streaming against batch inference, and the
 weight-file and PNM round trips."""
@@ -26,7 +27,7 @@ from tdcnet.pipeline import infer, infer_streaming
 from tdcnet.quant import (QFormat, QuantizedLayer, QuantizedNetwork,
                           _rshift_half_even_into, quantize_array, quantize_value,
                           quantized_conv_rows)
-from tdcnet.reference import conv2d, conv_taps
+from tdcnet.reference import conv2d, conv_rows, conv_taps, prelu
 from tdcnet.scheduler import schedule_deconv_layer, simulate_dclp
 from tdcnet.tdc import deconv_oracle, deconv_via_transform
 
@@ -134,6 +135,37 @@ def test_conv_taps_rows_independent(case):
         one = padded[:, i:i + k]
         assert np.array_equal(got[:, i:i + 1], conv_taps(one, weights, bias, plan))
         assert np.array_equal(got[:, i:i + 1], conv_taps(one.copy(), weights, bias, plan))
+
+
+_SLOPES = [-1.5, -0.25, 0.0, 0.25, 1.0, 1.5, 3.0]
+
+
+@st.composite
+def prelu_layers(draw):
+    """A float layer with one map per slope of _SLOPES, in drawn order, some
+    maps with zero weights and bias so their sums are exactly 0, and a padded
+    block with +0.0 and -0.0 among normal draws."""
+    k, n = draw(st.sampled_from([1, 3])), draw(st.integers(1, 3))
+    r, w = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m = len(_SLOPES)
+    weights, bias = rng.standard_normal((m, n, k, k)), rng.standard_normal(m)
+    dead = rng.random(m) < 0.3
+    weights[dead], bias[dead] = 0.0, 0.0
+    padded = rng.standard_normal((n, r + k - 1, w + k - 1))
+    zeros = rng.random(padded.shape) < 0.3
+    padded[zeros] = np.copysign(0.0, rng.standard_normal(padded.shape))[zeros]
+    return conv_layer(k, m, n, weights, bias, rng.permutation(_SLOPES)), padded
+
+
+@settings(max_examples=80, deadline=None)
+@given(prelu_layers())
+def test_conv_rows_prelu_matches_oracle(case):
+    # slopes above 1 take the min of v and s * v, the others the max
+    layer, padded = case
+    sums = conv_taps(padded, layer.weights, layer.bias, layer.tap_maps)
+    want = prelu(Tensor3(sums), layer.prelu_slope).data
+    assert np.array_equal(conv_rows(padded, layer), want)
 
 
 @st.composite
@@ -306,6 +338,40 @@ def test_rint_epilogue_rounds_ties_to_even(frac, slope):
     ql, qnet = int_layer(np.ones((1, 1, 1, 1), dtype=np.int64), [0], np.array([slope]), qw, qa)
     padded = np.arange(-40, 41).reshape(1, 1, -1)
     got = quantized_conv_rows(ql, padded.astype(np.float64), qnet)
+    assert np.array_equal(got, quantized_windows(padded, ql, qnet))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([
+    # (qw, qa, largest weight code, (float64 PReLU and rounding, float64 sums))
+    (QFormat(16, 4), QFormat(16, 0), 64, (True, True)),
+    (QFormat(32, 2), QFormat(24, 0), 2 ** 10, (False, True)),
+    (QFormat(32, 2), QFormat(32, 0), 2 ** 22, (False, False)),
+]), st.sampled_from([1, 3]), st.integers(1, 3), st.integers(1, 4), st.integers(1, 5),
+       st.integers(0, 2 ** 32 - 1), st.sampled_from([np.int64, np.float64]))
+def test_quantized_prelu_mixed_slopes(fmt, k, n, r, w, seed, dtype):
+    # one layer whose maps have slope codes below, at and above 2**f and at the
+    # format's limits, on each side of the 2**53 guards (the largest weight
+    # code is always drawn, so every draw takes its case's path); small input
+    # codes keep most outputs inside the format, extreme ones saturate
+    qw, qa, top, path = fmt
+    f = qw.frac_bits
+    slopes = [qw.min_raw, -(3 << f) // 2, -(1 << f) // 4, 0, (1 << f) // 4, (1 << f) - 1,
+              1 << f, (1 << f) + 1, (3 << f) // 2, 3 << f, qw.max_raw]
+    rng = np.random.default_rng(seed)
+    m = len(slopes)
+    weights = rng.integers(-top, top + 1, (m, n, k, k))
+    weights.flat[rng.integers(weights.size)] = top
+    bias = rng.integers(-2 ** 12, 2 ** 12 + 1, m)
+    ql, qnet = int_layer(weights, bias, rng.permutation(slopes), qw, qa)
+    l1, b, p = ql.abs_bounds
+    bound = (l1 << (qa.total_bits - 1)) + b
+    assert (bound * p < 2 ** 53, bound < 2 ** 53) == path
+    shape = (n, r + k - 1, w + k - 1)
+    padded = rng.integers(-8, 9, shape)
+    extreme = rng.random(shape) < 0.2
+    padded[extreme] = rng.choice([qa.min_raw, qa.max_raw], shape)[extreme]
+    got = quantized_conv_rows(ql, padded.astype(dtype), qnet)
     assert np.array_equal(got, quantized_windows(padded, ql, qnet))
 
 
