@@ -3,7 +3,8 @@ machine-readable JSON report (schema in tdcnet/schemas/report.schema.json);
 `sweep-bitwidth` writes CSV rows `bits,psnr_db`. Identical argv + seed produce
 byte-identical output.
 
-Exit codes: 0 success, 1 verification failure, 2 usage/parse error.
+Exit codes: 0 success, 1 verification failure (a failed trial or internal
+self-check), 2 usage/parse error.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import sys
 import numpy as np
 
 from . import dataflow, imageio, model, quant, scheduler, tdc
-from .errors import TdcnetError, WeightFormatError
+from .errors import InternalConsistencyError, TdcnetError, WeightFormatError
 from .model import DeconvLayerSpec, FsrcnnConfig, Tensor3, build_fsrcnn, parse_weights
 from .pipeline import infer
 
@@ -435,12 +436,10 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.func(args, argv)
-    except TdcnetError as e:
+    except (TdcnetError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        # two redundant computations disagreeing is a failed check, not bad input
+        return 1 if isinstance(e, InternalConsistencyError) else 2
 
 
 if __name__ == "__main__":

@@ -99,14 +99,10 @@ class ConvLayerSpec:
     bias: np.ndarray
     prelu_slope: Optional[np.ndarray] = None
 
-    stride: int = 1
-
     def __post_init__(self):
         k, m, n = self.kernel, self.out_maps, self.in_maps
         if k < 1 or m < 1 or n < 1:
             raise ConfigurationError("kernel/out_maps/in_maps must be >= 1")
-        if self.stride != 1:
-            raise ConfigurationError("conv stride is fixed at 1")
         if self.pad_before + self.pad_after != k - 1:
             raise ConfigurationError(
                 f"pad_before + pad_after must equal kernel-1 "

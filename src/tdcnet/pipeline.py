@@ -65,6 +65,8 @@ def _infer(image, net: NetworkSpec, scale: int, mode: str, q_weights: Optional[Q
         raise ConfigurationError(f"network upscales by {net_scale}, requested scale {scale}")
     if mode not in ("float", "fixed"):
         raise ConfigurationError(f"mode must be 'float' or 'fixed', got {mode!r}")
+    if mode == "float" and (q_weights is not None or q_activations is not None):
+        raise ConfigurationError("fixed-point formats apply with mode='fixed' only")
     if img.ndim == 2:
         return _luma(net, img.astype(np.float64), mode, q_weights, q_activations,
                      rows).astype(np.uint8)

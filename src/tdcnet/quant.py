@@ -400,9 +400,9 @@ def double_mac_product(a, b):
 
 
 def sweep_bitwidth(net: NetworkSpec, images: Sequence[np.ndarray],
-                   bits: Sequence[int], scale: int,
-                   border: Optional[int] = None) -> list[tuple[int, float]]:
-    """Mean PSNR of the fixed-point pipeline against the float pipeline.
+                   bits: Sequence[int], scale: int) -> list[tuple[int, float]]:
+    """Mean PSNR of the fixed-point pipeline against the float pipeline, with a
+    border of `scale` pixels cropped.
 
     Each bit-width uses frac_bits = total_bits - 4 (sign + 3 integer bits) for
     both weights and activations.
@@ -412,8 +412,6 @@ def sweep_bitwidth(net: NetworkSpec, images: Sequence[np.ndarray],
     images = list(images)
     if not images:
         raise ConfigurationError("image set must be non-empty")
-    if border is None:
-        border = scale
     def _chw(img: np.ndarray) -> np.ndarray:
         # psnr crops the trailing two (spatial) axes; move RGB channels first
         arr = img.astype(np.float64)
@@ -426,6 +424,6 @@ def sweep_bitwidth(net: NetworkSpec, images: Sequence[np.ndarray],
         values = []
         for img, ref in zip(images, float_outputs):
             out = infer(img, net, scale, mode="fixed", q_weights=q, q_activations=q)
-            values.append(psnr(_chw(out), _chw(ref), border))
+            values.append(psnr(_chw(out), _chw(ref), scale))
         results.append((b, float(np.mean(values))))
     return results

@@ -167,11 +167,11 @@ def prelu(t: Tensor3, slopes) -> Tensor3:
     return Tensor3(out)
 
 
-def _cubic_kernel(d: np.ndarray, a: float = -0.5) -> np.ndarray:
-    """Keys cubic interpolation kernel, evaluated at absolute distances d."""
+def _cubic_kernel(d: np.ndarray) -> np.ndarray:
+    """Keys cubic interpolation kernel (a = -0.5), evaluated at absolute distances d."""
     d = np.abs(d)
-    near = (a + 2) * d ** 3 - (a + 3) * d ** 2 + 1
-    far = a * d ** 3 - 5 * a * d ** 2 + 8 * a * d - 4 * a
+    near = 1.5 * d ** 3 - 2.5 * d ** 2 + 1
+    far = -0.5 * d ** 3 + 2.5 * d ** 2 - 4 * d + 2
     return np.where(d <= 1, near, np.where(d < 2, far, 0.0))
 
 

@@ -115,6 +115,8 @@ def simulate_dclp(x: Tensor3, schedule: LayerSchedule, geometry: TdcGeometry,
     dropped, duplicated or misplaced instruction changes the output, which must
     equal the transformed-layer convolution. Cycles follow the analytic model.
     """
+    if in_tile < 1:
+        raise ConfigurationError(f"in_tile must be >= 1, got {in_tile}")
     if geometry != schedule.geometry:
         raise ScheduleMismatchError("geometry does not match the schedule's layer")
     conv = schedule.conv
@@ -149,7 +151,7 @@ def cycles_proposed(out_maps: int, in_maps: int, in_h: int, in_w: int,
                     deconv_kernel: int, stride: int,
                     out_tile: int, in_tile: int) -> int:
     """Analytic execution cycles of the transformed (load-balanced) layer."""
-    if min(out_maps, in_maps, in_h, in_w, out_tile, in_tile) < 1:
+    if min(out_maps, in_maps, in_h, in_w, stride, out_tile, in_tile) < 1:
         raise ConfigurationError("all arguments must be >= 1")
     if deconv_kernel < stride:
         raise ConfigurationError("deconv kernel must be >= stride")
@@ -168,15 +170,10 @@ def cycles_baseline(out_maps: int, in_maps: int, out_h: int, out_w: int,
 
 def classify_case(out_maps: int, out_tile: int, stride: int,
                   deconv_kernel: int) -> tuple[int, float]:
-    """Which speedup regime the layer falls into and its predicted speedup."""
-    if min(out_maps, out_tile, stride, deconv_kernel) < 1:
-        raise ConfigurationError("all arguments must be >= 1")
-    s2 = stride * stride
-    kd2 = deconv_kernel ** 2
-    depth = _ceil_div(kd2, s2)
-    if out_maps * s2 <= out_tile:
-        return 1, s2 * kd2 / depth
-    if out_maps <= out_tile:
-        return 2, (s2 / _ceil_div(s2 * out_maps, out_tile)) * (kd2 / depth)
-    return 3, (s2 * _ceil_div(out_maps, out_tile)
-               / _ceil_div(s2 * out_maps, out_tile)) * (kd2 / depth)
+    """Which speedup regime the layer falls into (1: all S^2 * M phases fit one
+    output tile, 2: the M maps do, 3: neither) and its predicted speedup, the
+    baseline over the proposed cycles per input pixel."""
+    speedup = (cycles_baseline(out_maps, 1, stride, stride, deconv_kernel, out_tile, 1)
+               / cycles_proposed(out_maps, 1, 1, 1, deconv_kernel, stride, out_tile, 1))
+    regime = 1 if stride * stride * out_maps <= out_tile else 2 if out_maps <= out_tile else 3
+    return regime, speedup

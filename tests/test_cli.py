@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from tdcnet import cli, imageio
+from tdcnet import cli, imageio, tdc
 from tdcnet.cli import main
 from tdcnet.errors import ConfigurationError
 
@@ -100,6 +101,17 @@ class TestReports:
         ], schema)
         assert code == 0
         assert report["results"]["layers"][0]["proposed_cycles"] == 458752
+
+    @pytest.mark.parametrize("argv", [
+        ["--model", "dcgan"], ["--model", "fsrcnn"],
+        ["--model", "custom", "--m", "7", "--n", "5", "--hin", "6", "--win", "3",
+         "--kd", "11", "--stride", "3", "--tm", "50", "--tn", "2"],
+    ], ids=["dcgan", "fsrcnn", "custom"])
+    def test_cycles_one_speedup_per_row(self, capsys, schema, argv):
+        code, report = run_json(capsys, ["cycles", *argv], schema)
+        assert code == 0
+        for row in report["results"]["layers"]:
+            assert row["speedup"] == row["case_speedup"]
 
     def _schedule(self, capsys, schema, argv):
         code, report = run_json(capsys, ["schedule", *argv], schema)
@@ -216,6 +228,24 @@ class TestExitCodes:
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("kd", ["5", "0"])
+    def test_cycles_stride_0(self, capsys, kd):
+        # a ZeroDivisionError traceback with exit 1 before
+        self._expect_one_error_line(capsys, [
+            "cycles", "--model", "custom", "--m", "1", "--n", "1", "--hin", "2",
+            "--tm", "1", "--tn", "1", "--kd", kd, "--stride", "0"])
+        assert capsys.readouterr().out == ""
+
+    def test_failed_self_check_exits_1(self, capsys, monkeypatch):
+        # exit 2, the code for bad input, before
+        derive = tdc.derive_geometry
+        monkeypatch.setattr(tdc, "derive_geometry", lambda kd, s: dataclasses.replace(
+            derive(kd, s), crop_offset=derive(kd, s).crop_offset + 1))
+        assert main(["verify-tdc", "--kd", "5", "--stride", "2", "--trials", "2"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: searched crop offset 1 != closed form 2 ")
 
     @pytest.mark.parametrize("edit", [
         lambda d: d["conv_layers"][0]["weights"].__setitem__(3, float("nan")),

@@ -84,6 +84,16 @@ class TestInfer:
                 with pytest.raises(DimensionError):
                     run(np.zeros(shape, dtype=np.uint8), net, 2, mode=mode)
 
+    @pytest.mark.parametrize("formats", [{"q_weights": QFormat(8, 4)},
+                                         {"q_activations": Q13},
+                                         {"q_weights": Q13, "q_activations": Q13}])
+    def test_float_mode_refuses_formats(self, rng, formats):
+        # the float result, formats ignored without a word, before
+        net = random_net(rng, scale=2)
+        for run in (infer, infer_streaming):
+            with pytest.raises(ConfigurationError):
+                run(np.zeros((4, 4), dtype=np.uint8), net, 2, mode="float", **formats)
+
     def test_output_dimensions(self, rng):
         for s in (2, 3):
             net = random_net(rng, scale=s)

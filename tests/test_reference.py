@@ -174,6 +174,12 @@ class TestBicubic:
         assert np.allclose(out[:, 4:-4], np.tile(fine, (8, 1))[:, 4:-4],
                            rtol=0, atol=1e-9)
 
+    @pytest.mark.parametrize("scale", [1, 2, 3, 4])
+    def test_tensor_wrapper(self, rng, scale):
+        p = rng.normal(size=(3, 5))
+        out = bicubic_upscale(Tensor3(p[None]), scale)
+        assert np.array_equal(out.data, bicubic_upscale_plane(p, scale)[None])
+
     def test_single_channel_required(self):
         with pytest.raises(DimensionError):
             bicubic_upscale(Tensor3(np.zeros((2, 3, 3))), 2)

@@ -1,10 +1,13 @@
 import dataclasses
+import math
+import operator
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from tdcnet.errors import ConfigurationError, ScheduleMismatchError
-from tdcnet.model import Tensor3
+from tdcnet.model import DeconvLayerSpec, Tensor3
 from tdcnet.reference import conv2d
 from tdcnet.scheduler import (INSTRUCTION, classify_case, cycles_baseline,
                               cycles_proposed, schedule_deconv_layer, simulate_dclp)
@@ -211,6 +214,56 @@ class TestClassifyCase:
     def test_case2_band(self):
         case, _ = classify_case(3, 4, 2, 5)     # T_m/S^2 < M <= T_m
         assert case == 2
+
+
+def _regime_oracle(m, tm, s, kd, div=operator.truediv):
+    """The three regime expressions classify_case once held of its own."""
+    s2, kd2 = s * s, kd ** 2
+    depth = _ceil(kd2, s2)
+    if m * s2 <= tm:
+        return 1, div(s2 * kd2, depth)
+    if m <= tm:
+        return 2, div(s2, _ceil(s2 * m, tm)) * div(kd2, depth)
+    return 3, div(s2 * _ceil(m, tm), _ceil(s2 * m, tm)) * div(kd2, depth)
+
+
+class TestOneCycleFormula:
+    GRID = [(m, tm, s, kd) for m in range(1, 40) for tm in range(1, 70)
+            for s in range(1, 7) for kd in range(s, 14)]
+
+    def test_classify_case_equals_regime_expressions(self):
+        assert len(self.GRID) == 169533
+        for case in self.GRID:
+            regime, speedup = classify_case(*case)
+            exact_regime, exact = _regime_oracle(*case, div=Fraction)
+            float_regime, rounded = _regime_oracle(*case)
+            # the speedup is the exact ratio, rounded once
+            assert regime == exact_regime == float_regime and speedup == float(exact)
+            # the float expressions round up to three times: within 3 ulp
+            assert abs(rounded - speedup) <= 3 * math.ulp(speedup)
+
+    @pytest.mark.parametrize("kd,stride", [(5, 0), (0, 0), (5, -1)])
+    def test_cycles_proposed_rejects_nonpositive_stride(self, kd, stride):
+        # a ZeroDivisionError before
+        with pytest.raises(ConfigurationError):
+            cycles_proposed(1, 1, 2, 2, kd, stride, 1, 1)
+        with pytest.raises(ConfigurationError):
+            classify_case(1, 1, stride, kd)
+
+    @pytest.mark.parametrize("in_tile", [0, -1])
+    def test_simulate_dclp_rejects_nonpositive_in_tile(self, rng, in_tile):
+        # a ZeroDivisionError at 0 and negative cycles at -1 before
+        layer = random_deconv(rng, 5, 2, m=1, n=1)
+        sched = schedule_deconv_layer(layer, 4)
+        with pytest.raises(ConfigurationError):
+            simulate_dclp(Tensor3(np.ones((1, 3, 3))), sched, sched.geometry, in_tile)
+
+    def test_all_zero_layer_has_no_cycles(self):
+        layer = DeconvLayerSpec(5, 2, 2, 3, np.zeros((2, 3, 5, 5)), np.zeros(2))
+        sched = schedule_deconv_layer(layer, 4)
+        out, cycles = simulate_dclp(Tensor3(np.ones((3, 3, 4))), sched, sched.geometry, 1)
+        assert sched.depth == 0 and len(sched.table) == 0 and cycles == 0
+        assert not out.data.any()
 
 
 class TestDepthBound:

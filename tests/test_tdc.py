@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from tdcnet.errors import ConfigurationError
 from tdcnet.model import DeconvLayerSpec, Tensor3
 from tdcnet.reference import conv2d, depth_to_space
-from tdcnet.tdc import (deconv_oracle, deconv_via_transform, derive_geometry,
+from tdcnet.tdc import (_axis_map, deconv_oracle, deconv_via_transform, derive_geometry,
                         find_crop_offset, map_coefficient, transform_weights,
                         zero_analysis)
 
@@ -43,6 +44,36 @@ class TestGeometry:
                                         (9, 2, 3), (9, 3, 3), (9, 4, 1)])
     def test_crop_offset_closed_form(self, kd, s, c):
         assert derive_geometry(kd, s).crop_offset == c
+
+
+def _geometry_oracle(kd, s):
+    """K_C, the half-overlap branch, the crop offset and the axis map as
+    rational arithmetic and a loop over every (phase, tap) pair."""
+    overlap = Fraction(kd // 2, s)
+    whole = overlap.numerator // overlap.denominator
+    ge_half = overlap - whole >= Fraction(1, 2)
+    kc = 2 * -(-overlap.numerator // overlap.denominator) if ge_half else 2 * whole + 1
+    crop = kd - s * (kc // 2 + 1) + (1 if ge_half else 0)
+    table = np.full((s, kc), -1, dtype=int)
+    for o in range(s):
+        for i in range(kc):
+            d = (kd + (1 if ge_half else 0) - s * i) - (s - o)
+            if 0 <= d < kd:
+                table[o, i] = d
+    return (kd, s, overlap, kc, ge_half, crop), table
+
+
+class TestGeometryOracle:
+    def test_integer_geometry_equals_rational_oracle(self):
+        pairs = [(kd, s) for s in range(2, 13) for kd in range(s, 41)]
+        assert len(pairs) == 374
+        for kd, s in pairs:
+            geom = derive_geometry(kd, s)
+            fields, table = _geometry_oracle(kd, s)
+            got = dataclasses.astuple(geom)
+            assert got == fields and [type(v) for v in got[3:]] == [int, bool, int]
+            axis = _axis_map(geom)
+            assert axis.dtype == table.dtype and np.array_equal(axis, table)
 
 
 class TestMapCoefficient:
