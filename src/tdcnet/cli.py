@@ -238,6 +238,7 @@ def _cmd_cycles(args, argv):
         for flag in CUSTOM_FLAGS:
             if flag != "win" and getattr(args, flag) is None:
                 raise TdcnetError(f"--model custom requires --{flag}")
+        _positive(args, *CUSTOM_FLAGS)
         win = args.hin if args.win is None else args.win
         rows = [_cycle_row("custom", args.m, args.n, args.hin, win,
                            args.kd, args.stride, args.tm, args.tn)]

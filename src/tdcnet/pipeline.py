@@ -2,7 +2,8 @@
 emulates the on-chip row-by-row dataflow.
 
 The luma channel runs through the network (deconv executed as its transformed
-convolution followed by depth-to-space); chroma is bicubic-upscaled. 8-bit
+convolution followed by depth-to-space); Cb and Cr are bicubic-upscaled
+together and converted to RGB in place with the network's luma. 8-bit
 samples are normalized to [0, 1] in front of the network and denormalized with
 round-half-to-even afterwards. Both modes push the luma plane through the one
 layer executor of `quant`, each layer keeping only its last kernel - 1 input
@@ -20,7 +21,7 @@ from .dataflow import plan_dataflow
 from .errors import ConfigurationError, DimensionError
 from .model import NetworkSpec
 from .quant import QFormat, _forward, _layers, quantize_array, quantize_network
-from .reference import bicubic_upscale_plane, rgb_to_ycbcr, ycbcr_to_rgb
+from .reference import _bicubic_planes, _ycbcr_into_rgb, rgb_to_ycbcr
 
 _Q13 = QFormat(13, 9)       # default weight and activation format
 
@@ -72,7 +73,7 @@ def _infer(image, net: NetworkSpec, scale: int, mode: str, q_weights: Optional[Q
                      rows).astype(np.uint8)
     y, cb, cr = rgb_to_ycbcr(img)
     y_out = _luma(net, y, mode, q_weights, q_activations, rows)
-    return ycbcr_to_rgb(y_out, bicubic_upscale_plane(cb, scale), bicubic_upscale_plane(cr, scale))
+    return _ycbcr_into_rgb(y_out, *_bicubic_planes(np.stack((cb, cr)), scale))
 
 
 def infer(image, net: NetworkSpec, scale: int, mode: str = "float",

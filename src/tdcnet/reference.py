@@ -175,24 +175,39 @@ def _cubic_kernel(d: np.ndarray) -> np.ndarray:
     return np.where(d <= 1, near, np.where(d < 2, far, 0.0))
 
 
-def _bicubic_axis(plane: np.ndarray, scale: int, axis: int) -> np.ndarray:
+def _bicubic_planes(planes: np.ndarray, scale: int) -> np.ndarray:
+    """Separable Keys bicubic upscale of stacked (C, H, W) float64 planes, rows
+    first, then columns, as a polyphase filter on the low-resolution grid.
+
+    Output sample d of an axis of n samples sits at src = (d + 0.5) / scale - 0.5
+    and sums, in tap order t = -1..2, _cubic_kernel(src - (base + t)) times the
+    sample at base + t clamped to [0, n - 1], base = floor(src). Since
+    base[scale * i + p] == i + base[p], phase p reads shifted slices.
+    """
     if scale == 1:
-        return plane.copy()
-    size = plane.shape[axis]
-    dst = np.arange(size * scale)
-    src = (dst + 0.5) / scale - 0.5          # half-pixel-center alignment
-    base = np.floor(src).astype(int)
-    out_shape = list(plane.shape)
-    out_shape[axis] = size * scale
-    out = np.zeros(out_shape)
-    for tap in (-1, 0, 1, 2):
-        idx = np.clip(base + tap, 0, size - 1)  # clamp-to-edge sampling
-        wgt = _cubic_kernel(src - (base + tap))
-        taken = np.take(plane, idx, axis=axis)
-        shape = [1] * plane.ndim
-        shape[axis] = -1
-        out += wgt.reshape(shape) * taken
-    return out
+        return planes.copy()
+    for axis in (1, 2):
+        shape, n = planes.shape, planes.shape[axis]
+        src = (np.arange(n * scale) + 0.5) / scale - 0.5      # half-pixel centres
+        base = np.floor(src)
+        # per tap, the weight of every output sample as (n, scale), along the axis
+        wgts = [_cubic_kernel(src - (base + t)).reshape((n, scale) + (1,) * (2 - axis))
+                for t in (-1, 0, 1, 2)]
+        planes = np.pad(planes, [(2 * (a == axis),) * 2 for a in range(3)], mode="edge")
+        out = np.empty(shape[:axis + 1] + (scale,) + shape[axis + 1:])
+        acc, tmp = np.empty(shape), np.empty(shape)
+        lead = (slice(None),) * axis
+        for p in range(scale):
+            for t, wgt in enumerate(wgts):           # taps -1..2, edge-clamped
+                start = int(base[p]) + t + 1
+                window = planes[lead + (slice(start, start + n),)]
+                if t == 0:
+                    np.multiply(window, wgt[:, p], out=acc)
+                else:
+                    acc += np.multiply(window, wgt[:, p], out=tmp)
+            out[lead + (slice(None), p)] = acc
+        planes = out.reshape(shape[:axis] + (n * scale,) + shape[axis + 1:])
+    return planes
 
 
 def bicubic_upscale_plane(plane: np.ndarray, scale: int) -> np.ndarray:
@@ -200,7 +215,7 @@ def bicubic_upscale_plane(plane: np.ndarray, scale: int) -> np.ndarray:
     plane = np.asarray(plane, dtype=np.float64)
     if plane.ndim != 2 or plane.size == 0 or scale < 1:
         raise DimensionError(f"expected a non-empty 2-D plane, scale >= 1: {plane.shape}, {scale}")
-    return _bicubic_axis(_bicubic_axis(plane, scale, 0), scale, 1)
+    return _bicubic_planes(plane[None], scale)[0]
 
 
 def bicubic_upscale(plane: Tensor3, scale: int) -> Tensor3:
@@ -230,16 +245,31 @@ def rgb_to_ycbcr(img: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return y, cb, cr
 
 
-def ycbcr_to_rgb(y: np.ndarray, cb: np.ndarray, cr: np.ndarray) -> np.ndarray:
-    """Inverse of rgb_to_ycbcr, rounded and clamped to 8-bit RGB."""
-    y_full = (np.asarray(y, dtype=np.float64) - 16.0) * (255.0 / 219.0)
-    r = y_full + (np.asarray(cr, dtype=np.float64) - 128.0) * (1.0 - _KR) * (255.0 / 112.0)
-    b = y_full + (np.asarray(cb, dtype=np.float64) - 128.0) * (1.0 - _KB) * (255.0 / 112.0)
-    g = (y_full - _KR * r - _KB * b) / _KG
-    rgb = np.empty(y_full.shape + (3,), dtype=np.uint8)
-    for c, plane in enumerate((r, g, b)):         # rounded and clamped in place
+def _ycbcr_into_rgb(y: np.ndarray, cb: np.ndarray, cr: np.ndarray) -> np.ndarray:
+    """ycbcr_to_rgb in place on float64 planes of one shape, with one scratch
+    plane: y, cb and cr are left holding G, B and R."""
+    y -= 16.0
+    y *= 255.0 / 219.0
+    for c, k in ((cr, _KR), (cb, _KB)):
+        c -= 128.0
+        c *= 1.0 - k
+        c *= 255.0 / 112.0
+        c += y
+    scratch = np.multiply(cr, _KR)
+    y -= scratch
+    y -= np.multiply(cb, _KB, out=scratch)
+    y /= _KG
+    rgb = np.empty(y.shape + (3,), dtype=np.uint8)
+    for c, plane in enumerate((cr, y, cb)):         # rounded and clamped in place
         rgb[..., c] = np.clip(np.rint(plane, out=plane), 0, 255, out=plane)
     return rgb
+
+
+def ycbcr_to_rgb(y: np.ndarray, cb: np.ndarray, cr: np.ndarray) -> np.ndarray:
+    """Inverse of rgb_to_ycbcr, rounded and clamped to 8-bit RGB; the inputs
+    are left alone."""
+    planes = np.broadcast_arrays(y, cb, cr)
+    return _ycbcr_into_rgb(*(np.array(p, dtype=np.float64) for p in planes))
 
 
 def psnr(a, b, border: int = 0) -> float:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tdcnet import cli, imageio, tdc
-from tdcnet.cli import main
+from tdcnet.cli import CUSTOM_FLAGS, main
 from tdcnet.errors import ConfigurationError
 
 from conftest import random_weight_doc
@@ -236,6 +236,18 @@ class TestExitCodes:
             "cycles", "--model", "custom", "--m", "1", "--n", "1", "--hin", "2",
             "--tm", "1", "--tn", "1", "--kd", kd, "--stride", "0"])
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("flag", CUSTOM_FLAGS)
+    def test_cycles_custom_names_bad_flag(self, capsys, flag):
+        # cycles_proposed's "all arguments must be >= 1", naming no flag, before
+        values = dict.fromkeys(CUSTOM_FLAGS, "2")
+        values[flag] = "0"
+        argv = ["cycles", "--model", "custom"]
+        for name, value in values.items():
+            argv += [f"--{name}", value]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: --{flag} must be a positive integer, got 0\n"
 
     def test_failed_self_check_exits_1(self, capsys, monkeypatch):
         # exit 2, the code for bad input, before

@@ -56,16 +56,19 @@ class TestInfer:
         for run in (infer, infer_streaming):
             assert np.array_equal(run(img, net, scale, mode="fixed"), manual)
 
-    def test_rgb_chroma_path(self, rng):
-        net = random_net(rng, scale=2, depth=1)
-        img = rng.integers(0, 256, (6, 6, 3)).astype(np.uint8)
-        out = infer(img, net, 2)
-        assert out.shape == (12, 12, 3)
+    @pytest.mark.parametrize("h, w, scale", [(6, 6, 2), (7, 5, 3), (1, 9, 3)],
+                             ids=["6x6-s2", "7x5-s3", "1x9-s3"])
+    def test_rgb_chroma_path(self, rng, h, w, scale):
+        net = random_net(rng, scale=scale, depth=1)
+        img = rng.integers(0, 256, (h, w, 3)).astype(np.uint8)
         y, cb, cr = rgb_to_ycbcr(img)
         expect = ycbcr_to_rgb(_luma(net, y),
-                              bicubic_upscale_plane(cb, 2),
-                              bicubic_upscale_plane(cr, 2))
-        assert np.array_equal(out, expect)
+                              bicubic_upscale_plane(cb, scale),
+                              bicubic_upscale_plane(cr, scale))
+        for run in (infer, infer_streaming):
+            out = run(img, net, scale)
+            assert out.shape == (h * scale, w * scale, 3)
+            assert np.array_equal(out, expect)
 
     def test_wrong_scale(self, rng):
         with pytest.raises(ConfigurationError):

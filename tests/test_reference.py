@@ -5,7 +5,7 @@ import pytest
 
 from tdcnet.errors import DimensionError
 from tdcnet.model import DeconvLayerSpec, Tensor3, conv_layer
-from tdcnet.reference import (bicubic_upscale, bicubic_upscale_plane,
+from tdcnet.reference import (_cubic_kernel, bicubic_upscale, bicubic_upscale_plane,
                               canvas_window, conv2d, deconv2d_canvas,
                               depth_to_space, prelu, psnr, rgb_to_ycbcr,
                               ycbcr_to_rgb)
@@ -157,7 +157,50 @@ class TestPrelu:
             prelu(Tensor3(np.zeros((2, 1, 1))), [0.1])
 
 
+def _bicubic_axis(plane: np.ndarray, scale: int, axis: int) -> np.ndarray:
+    """The per-tap gather loop bicubic_upscale_plane ran before its polyphase
+    form, kept verbatim as the oracle of that form."""
+    if scale == 1:
+        return plane.copy()
+    size = plane.shape[axis]
+    dst = np.arange(size * scale)
+    src = (dst + 0.5) / scale - 0.5          # half-pixel-center alignment
+    base = np.floor(src).astype(int)
+    out_shape = list(plane.shape)
+    out_shape[axis] = size * scale
+    out = np.zeros(out_shape)
+    for tap in (-1, 0, 1, 2):
+        idx = np.clip(base + tap, 0, size - 1)  # clamp-to-edge sampling
+        wgt = _cubic_kernel(src - (base + tap))
+        taken = np.take(plane, idx, axis=axis)
+        shape = [1] * plane.ndim
+        shape[axis] = -1
+        out += wgt.reshape(shape) * taken
+    return out
+
+
 class TestBicubic:
+    @pytest.mark.parametrize("scale", [1, 2, 3, 4])
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 1), (1, 9), (17, 13), (12, 160), (96, 96)],
+                             ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_matches_gather_loop(self, scale, shape):
+        rng = np.random.default_rng([scale, *shape])
+        # chroma in its studio range [16, 240], and samples well outside it
+        p = rng.uniform(16.0, 240.0, shape)
+        far = rng.random(shape) < 0.2
+        p[far] = rng.choice([-300.0, -1.5, 0.0, 255.0, 1e6], int(far.sum()))
+        want = _bicubic_axis(_bicubic_axis(p, scale, 0), scale, 1)
+        assert np.array_equal(bicubic_upscale_plane(p, scale), want)
+
+    @pytest.mark.parametrize("scale", range(1, 9))
+    def test_phase_base_is_periodic(self, scale):
+        # the polyphase form reads phase p at base[p] + i; this holds because
+        # (2p + 1 - s) / 2s is 0 or at least 1/2s away from an integer
+        n = 4096
+        src = (np.arange(n * scale) + 0.5) / scale - 0.5
+        base = np.floor(src).reshape(n, scale)
+        assert np.array_equal(base, np.arange(n)[:, None] + base[0])
+
     def test_s1_identity(self, rng):
         p = rng.normal(size=(4, 5))
         assert np.array_equal(bicubic_upscale_plane(p, 1), p)
