@@ -231,9 +231,12 @@ def _cmd_cycles(args, argv):
         m, n, kd = FSRCNN_DECONV["m"], FSRCNN_DECONV["n"], FSRCNN_DECONV["kd"]
         rows = [_cycle_row("fsrcnn", m, n, FSRCNN_PIXELS, 1, kd, s, *FSRCNN_TILES,
                            layer=8, pixels=FSRCNN_PIXELS) for s in (2, 3, 4)]
-        # published total for the S=4 row (786k cycles) is about twice the
-        # analytic model's result; left unmatched and flagged
-        rows[2].update(published_cycles_k=786, unexplained_discrepancy=True)
+        # the published S=4 total (786k cycles) is twice the preset's result. A
+        # nine-phase output tile (Tm = 9) reproduces it, running the sixteen
+        # phases in two passes; the preset keeps Tm = 56, as no source fixes Tm
+        nine = scheduler.cycles_proposed(m, n, FSRCNN_PIXELS, 1, kd, 4, 9, FSRCNN_TILES[1])
+        rows[2].update(published_cycles_k=786, unexplained_discrepancy=True,
+                       nine_phase_tile={"tm": 9, "proposed_cycles": nine})
     else:
         for flag in CUSTOM_FLAGS:
             if flag != "win" and getattr(args, flag) is None:

@@ -9,6 +9,12 @@ round-half-to-even afterwards. Both modes push the luma plane through the one
 layer executor of `quant`, each layer keeping only its last kernel - 1 input
 rows between pushes: batch in row tiles sized to stay in cache, streaming one
 row at a time. The results are identical (exactly in float, bitwise in fixed).
+
+Rows in, rows out: each input tile is converted and normalised on its own,
+and each block of output rows the executor yields is finished into the one
+preallocated 8-bit output. Colour output is converted in bands of a batch
+tile's high-resolution rows, each from only the input rows its chroma taps
+read, so no whole-plane float copy of the input or of the output exists.
 """
 from __future__ import annotations
 
@@ -20,8 +26,8 @@ import numpy as np
 from .dataflow import plan_dataflow
 from .errors import ConfigurationError, DimensionError
 from .model import NetworkSpec
-from .quant import QFormat, _forward, _layers, quantize_array, quantize_network
-from .reference import _bicubic_planes, _ycbcr_into_rgb, rgb_to_ycbcr
+from .quant import QFormat, _forward, _layers, _rint_codes, _tile_rows, quantize_network
+from .reference import _bicubic_planes, _taps_window, _ycbcr_into_rgb, rgb_to_ycbcr
 
 _Q13 = QFormat(13, 9)       # default weight and activation format
 
@@ -38,29 +44,29 @@ class StreamStats:
     peak_samples: dict[int, int] = field(default_factory=dict)
 
 
-def _luma(net: NetworkSpec, y_plane: np.ndarray, mode: str, q_weights: Optional[QFormat],
-          q_activations: Optional[QFormat], rows: Optional[int]) -> np.ndarray:
-    """The network's 8-bit-range output plane for one luma plane."""
-    x = (y_plane / 255.0)[None]
-    if mode == "float":
-        y = _forward(_layers(net), x, rows)[0]
-    else:
-        qa = q_activations or _Q13
-        qnet = quantize_network(net, q_weights or _Q13, qa)
-        raw = _forward(_layers(None, qnet), quantize_array(x, qa), rows)
-        y = raw[0] * qa.step
-    y *= 255.0
-    return np.clip(np.rint(y, out=y), 0.0, 255.0, out=y)
+def _chroma_into(img: np.ndarray, scale: int, out: np.ndarray, r0: int, r1: int) -> int:
+    """Convert high-resolution rows r0..r1 - 1 of `out` to RGB, their G plane
+    holding the finished luma, with Cb/Cr upscaled from just the input rows
+    their taps read; returns r1."""
+    lr = _taps_window(r0 // scale, r1 // scale, img.shape[0])
+    _, cb, cr = rgb_to_ycbcr(img[lr])
+    band = out[r0:r1]
+    _ycbcr_into_rgb(band[..., 1].astype(np.float64),
+                    *_bicubic_planes(np.stack((cb, cr)), scale, (r0, r1)), band)
+    return r1
 
 
 def _infer(image, net: NetworkSpec, scale: int, mode: str, q_weights: Optional[QFormat],
            q_activations: Optional[QFormat], rows: Optional[int]) -> np.ndarray:
-    """Checks, the luma network pushed `rows` rows at a time, and the chroma path."""
+    """Checks, then the luma network pushed `rows` rows at a time, each output
+    block finished in place, and the chroma path in bands."""
     img = np.asarray(image)
     if img.dtype != np.uint8:
         raise ConfigurationError(f"expected an 8-bit image, got dtype {img.dtype}")
     if img.ndim not in (2, 3) or (img.ndim == 3 and img.shape[2] != 3):
         raise DimensionError(f"expected (H, W) or (H, W, 3) image, got shape {img.shape}")
+    if img.size == 0:
+        raise DimensionError(f"expected a non-empty image, got shape {img.shape}")
     net_scale = net.deconv.scale if net.deconv is not None else 1
     if net_scale != scale:
         raise ConfigurationError(f"network upscales by {net_scale}, requested scale {scale}")
@@ -68,12 +74,30 @@ def _infer(image, net: NetworkSpec, scale: int, mode: str, q_weights: Optional[Q
         raise ConfigurationError(f"mode must be 'float' or 'fixed', got {mode!r}")
     if mode == "float" and (q_weights is not None or q_activations is not None):
         raise ConfigurationError("fixed-point formats apply with mode='fixed' only")
-    if img.ndim == 2:
-        return _luma(net, img.astype(np.float64), mode, q_weights, q_activations,
-                     rows).astype(np.uint8)
-    y, cb, cr = rgb_to_ycbcr(img)
-    y_out = _luma(net, y, mode, q_weights, q_activations, rows)
-    return _ycbcr_into_rgb(y_out, *_bicubic_planes(np.stack((cb, cr)), scale))
+    if mode == "float":
+        layers, lsb, norm = _layers(net), None, lambda t: t / 255.0
+    else:
+        qa = q_activations or _Q13
+        layers = _layers(None, quantize_network(net, q_weights or _Q13, qa))
+        lsb, norm = qa.step, lambda t: _rint_codes(t / 255.0, qa)
+    rgb = img.ndim == 3
+    prep = (lambda t: norm(rgb_to_ycbcr(t[0])[0])[None]) if rgb else norm
+    out = np.empty((img.shape[0] * scale, img.shape[1] * scale) + img.shape[2:], np.uint8)
+    luma = out[..., 1] if rgb else out        # G holds each luma row until its band converts
+    band = _tile_rows(img.shape[1]) * scale
+    done = converted = 0
+    for block in _forward(layers, img[None], rows, prep=prep):
+        y = block[0]
+        if lsb is not None:
+            y *= lsb
+        y *= 255.0
+        luma[done:done + len(y)] = np.clip(np.rint(y, out=y), 0.0, 255.0, out=y)
+        done += len(y)
+        del block, y                           # before the executor runs the next tile
+        while rgb and (done - converted >= band or converted < done == len(out)):
+            converted = _chroma_into(img, scale, out, converted,
+                                     min(converted + band, done))
+    return out
 
 
 def infer(image, net: NetworkSpec, scale: int, mode: str = "float",

@@ -228,15 +228,16 @@ class _Layer:
     nonzero `scale` moves the deconv's phases to space afterwards. Blocks and
     outputs are float64 in both modes: fixed-point codes are integers of at
     most 2**31 in magnitude, exact in float64, so no layer converts them.
-    Between pushes the layer keeps its last K - 1 padded input rows, none for 1x1.
+    Between pushes the layer keeps its last K - 1 padded input rows; a 1x1
+    layer keeps none and takes its input rows as the block.
     """
 
     def __init__(self, spec: ConvLayerSpec, run, scale: int):
         self.spec, self.run, self.scale = spec, run, scale
         self.carry: Optional[np.ndarray] = None
 
-    def push(self, rows: np.ndarray, last: bool) -> Optional[np.ndarray]:
-        """Output rows completed by the next (N, R, W) input rows, or None.
+    def block(self, rows: np.ndarray, last: bool) -> Optional[np.ndarray]:
+        """The padded block that the next (N, R, W) input rows complete, or None.
 
         The first block starts with the top zero padding and the last one
         (last=True) ends with the bottom padding, so it flushes the layer.
@@ -245,6 +246,8 @@ class _Layer:
         n, r, w = rows.shape
         if n != self.spec.in_maps:
             raise DimensionError(f"input channels {n} != layer in_maps {self.spec.in_maps}")
+        if k == 1:
+            return rows
         c = pb if self.carry is None else self.carry.shape[1]
         block = np.zeros((n, c + r + (self.spec.pad_after if last else 0), w + k - 1))
         if self.carry is not None:
@@ -254,6 +257,10 @@ class _Layer:
             self.carry = block
             return None
         self.carry = block[:, block.shape[1] - (k - 1):].copy()
+        return block
+
+    def __call__(self, block: np.ndarray) -> np.ndarray:
+        """The (M, R, W) output rows of a block, phases moved to space for a deconv."""
         out = self.run(block)
         return depth_to_space_array(out, self.scale) if self.scale else out
 
@@ -269,34 +276,57 @@ def _layers(net: Optional[NetworkSpec], qnet: Optional[QuantizedNetwork] = None)
 _TILE_PIXELS = 3072       # batch row tile, in input pixels: 32 rows of a 96-wide plane
 
 
+def _tile_rows(w: int) -> int:
+    """Rows of a batch tile of a W-wide plane."""
+    return max(2, _TILE_PIXELS // w)
+
+
 def _forward(layers: list[_Layer], x: np.ndarray, rows: Optional[int] = None,
-             trace: Optional[list] = None) -> np.ndarray:
-    """Push (C, H, W) input through the layers `rows` rows at a time and return
-    the last layer's output. rows=None is batch inference, in tiles of
-    max(2, _TILE_PIXELS // W) rows so that each layer's scratch stays in cache
-    rather than spanning the plane; rows=1 emulates the streaming line buffers.
-    Any two tile heights agree bit for bit because conv_taps gives each output
-    row the same matmul shapes for any block height (in float this rests on
-    the BLAS, which test_conv_taps_rows_independent checks). `trace` receives
-    every layer's whole-plane output, its tiles joined in order."""
-    if x.ndim != 3 or min(x.shape) < 1:
+             trace: Optional[list[list]] = None, prep=None):
+    """Push (C, H, W) input through the layers `rows` rows at a time and yield
+    the last layer's output blocks in row order. rows=None is batch
+    inference, in tiles of _tile_rows(W) rows so that each layer's scratch
+    stays in cache rather than spanning the plane; rows=1 emulates the
+    streaming line buffers. Any two tile heights agree bit for bit because
+    conv_taps gives each output row the same matmul shapes for any block
+    height (in float this rests on the BLAS, which
+    test_conv_taps_rows_independent checks). The last push is one row, so
+    that what it flushes (each layer's held rows and bottom padding) adds to
+    one row rather than to a tile. A layer's input is released as soon as
+    its block is built, before the conv runs. `prep`, when given,
+    maps each batch tile (C, R, W, ...) of x to the first layer's input rows,
+    so that no whole-plane copy of the input is made; `trace` receives every
+    layer's output blocks, one list per layer."""
+    if x.ndim < 3 or min(x.shape) < 1:
         raise DimensionError(f"expected non-empty (C, H, W) input, got shape {x.shape}")
-    h, w = x.shape[1:]
-    step = rows or max(2, _TILE_PIXELS // w)
-    out, tiles = [], [[] for _ in layers]
-    for r in range(0, h, step):
-        cur = x[:, r:r + step]
-        for layer, kept in zip(layers, tiles):
-            cur = layer.push(cur, r + step >= h)
-            if cur is None:
-                break
-            if trace is not None:
-                kept.append(cur)
-        else:
-            out.append(cur)
-    if trace is not None:
-        trace.extend(np.concatenate(t, axis=1) for t in tiles)
-    return out[0] if len(out) == 1 else np.concatenate(out, axis=1)
+    h, w = x.shape[1:3]
+    tile = _tile_rows(w)
+    step = min(rows or tile, tile)
+    for t in range(0, h, tile):
+        rows_in = x[:, t:t + tile] if prep is None else prep(x[:, t:t + tile])
+        n = rows_in.shape[1]
+        starts = list(range(0, n, step))
+        if t + n == h and n - 1 > starts[-1]:
+            starts.append(n - 1)
+        for r0, r1 in zip(starts, starts[1:] + [n]):
+            cur = rows_in[:, r0:r1]
+            for i, layer in enumerate(layers):
+                cur = layer.block(cur, t + r1 >= h)
+                if cur is None:
+                    break
+                cur = layer(cur)
+                if trace is not None:
+                    trace[i].append(cur)
+            else:
+                yield cur
+
+
+def _planes(layers: list[_Layer], x: np.ndarray, collect: bool):
+    """_forward's output as one plane and, when collect, every layer's output
+    plane, its blocks joined in order (else None)."""
+    trace = [[] for _ in layers] if collect else None
+    out = np.concatenate(list(_forward(layers, x, trace=trace)), axis=1)
+    return out, trace and [np.concatenate(t, axis=1) for t in trace]
 
 
 def quantized_forward(qnet: QuantizedNetwork, x_raw: np.ndarray,
@@ -314,17 +344,15 @@ def quantized_forward(qnet: QuantizedNetwork, x_raw: np.ndarray,
     if raw.size and (raw.min() < qa.min_raw or raw.max() > qa.max_raw):
         raise ConfigurationError(
             f"raw input codes must lie in [{qa.min_raw}, {qa.max_raw}] of {qa}")
-    trace = [] if collect else None
-    out = _forward(_layers(None, qnet), np.asarray(raw, dtype=np.int64), trace=trace)
+    out, trace = _planes(_layers(None, qnet), np.asarray(raw, dtype=np.int64), collect)
     out = out.astype(np.int64)
     return (out, [t.astype(np.int64) for t in trace]) if collect else out
 
 
 def float_forward(net: NetworkSpec, x: Tensor3, collect: bool = False):
     """Float reference chain matching quantized_forward's structure."""
-    trace = [] if collect else None
-    out = Tensor3(_forward(_layers(net), x.data, trace=trace))
-    return (out, [Tensor3(t) for t in trace]) if collect else out
+    out, trace = _planes(_layers(net), x.data, collect)
+    return (Tensor3(out), [Tensor3(t) for t in trace]) if collect else Tensor3(out)
 
 
 def fixed_point_error_bound(net: NetworkSpec, qnet: QuantizedNetwork) -> list[float]:

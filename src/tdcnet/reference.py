@@ -175,39 +175,66 @@ def _cubic_kernel(d: np.ndarray) -> np.ndarray:
     return np.where(d <= 1, near, np.where(d < 2, far, 0.0))
 
 
-def _bicubic_planes(planes: np.ndarray, scale: int) -> np.ndarray:
-    """Separable Keys bicubic upscale of stacked (C, H, W) float64 planes, rows
-    first, then columns, as a polyphase filter on the low-resolution grid.
+def _taps_window(lo: int, hi: int, n: int) -> np.ndarray:
+    """Indices of samples lo - 2 .. hi + 1 of an axis of n samples, clamped to
+    [0, n - 1]: the edge-padded window that the bicubic taps of samples
+    lo..hi - 1 read."""
+    return np.clip(np.arange(lo - 2, hi + 2), 0, n - 1)
 
-    Output sample d of an axis of n samples sits at src = (d + 0.5) / scale - 0.5
-    and sums, in tap order t = -1..2, _cubic_kernel(src - (base + t)) times the
-    sample at base + t clamped to [0, n - 1], base = floor(src). Since
-    base[scale * i + p] == i + base[p], phase p reads shifted slices.
+
+def _polyphase_axis(window: np.ndarray, scale: int, axis: int, first: int) -> np.ndarray:
+    """All `scale` phases, along `axis`, of the samples whose taps read
+    `window`, which holds them and two more beyond each end (a _taps_window);
+    output sample 0 is sample `first`, a multiple of scale, of the whole
+    upscaled axis.
+
+    Output sample d sits at src = (d + 0.5) / scale - 0.5 and sums, in tap
+    order t = -1..2, _cubic_kernel(src - (base + t)) times the sample at
+    base + t, base = floor(src). Since base[scale * i + p] == i + base[p],
+    phase p reads shifted slices of the window.
     """
+    n = window.shape[axis] - 4
+    src = (np.arange(first, first + n * scale) + 0.5) / scale - 0.5  # half-pixel centres
+    base = np.floor(src)
+    # per tap, the weight of every output sample as (n, scale), along the axis
+    taps = np.arange(-1, 3)[:, None]
+    wgts = _cubic_kernel(src - (base + taps)).reshape((4, n, scale) + (1,) * (2 - axis))
+    shape = window.shape[:axis] + (n,) + window.shape[axis + 1:]
+    out = np.empty(shape[:axis + 1] + (scale,) + shape[axis + 1:])
+    acc, tmp = np.empty(shape), np.empty(shape)
+    lead = (slice(None),) * axis
+    for p in range(scale):
+        for t, wgt in enumerate(wgts):               # taps -1..2
+            start = int(base[p]) - first // scale + t + 1
+            part = window[lead + (slice(start, start + n),)]
+            if t == 0:
+                np.multiply(part, wgt[:, p], out=acc)
+            else:
+                acc += np.multiply(part, wgt[:, p], out=tmp)
+        out[lead + (slice(None), p)] = acc
+    return out.reshape(shape[:axis] + (n * scale,) + shape[axis + 1:])
+
+
+def _bicubic_planes(planes: np.ndarray, scale: int,
+                    rows: Optional[tuple[int, int]] = None) -> np.ndarray:
+    """Separable Keys bicubic upscale of stacked (C, H, W) float64 planes, rows
+    first, then columns, as a polyphase filter on the low-resolution grid,
+    samples edge-clamped.
+
+    With `rows` = (r0, r1), both multiples of scale, only high-resolution rows
+    r0..r1 - 1 are made, and `planes` holds just the low-resolution rows they
+    read, _taps_window(r0 // scale, r1 // scale, H) of the whole planes. Every
+    sample equals the whole-plane one, as it comes from the same weights in
+    the same tap order.
+    """
+    if rows is None:
+        rows = 0, planes.shape[1] * scale
+        planes = planes[:, _taps_window(0, planes.shape[1], planes.shape[1])]
     if scale == 1:
-        return planes.copy()
-    for axis in (1, 2):
-        shape, n = planes.shape, planes.shape[axis]
-        src = (np.arange(n * scale) + 0.5) / scale - 0.5      # half-pixel centres
-        base = np.floor(src)
-        # per tap, the weight of every output sample as (n, scale), along the axis
-        wgts = [_cubic_kernel(src - (base + t)).reshape((n, scale) + (1,) * (2 - axis))
-                for t in (-1, 0, 1, 2)]
-        planes = np.pad(planes, [(2 * (a == axis),) * 2 for a in range(3)], mode="edge")
-        out = np.empty(shape[:axis + 1] + (scale,) + shape[axis + 1:])
-        acc, tmp = np.empty(shape), np.empty(shape)
-        lead = (slice(None),) * axis
-        for p in range(scale):
-            for t, wgt in enumerate(wgts):           # taps -1..2, edge-clamped
-                start = int(base[p]) + t + 1
-                window = planes[lead + (slice(start, start + n),)]
-                if t == 0:
-                    np.multiply(window, wgt[:, p], out=acc)
-                else:
-                    acc += np.multiply(window, wgt[:, p], out=tmp)
-            out[lead + (slice(None), p)] = acc
-        planes = out.reshape(shape[:axis] + (n * scale,) + shape[axis + 1:])
-    return planes
+        return planes[:, 2:-2].copy()
+    w = planes.shape[2]
+    cols = _polyphase_axis(planes, scale, 1, rows[0])[:, :, _taps_window(0, w, w)]
+    return _polyphase_axis(cols, scale, 2, 0)
 
 
 def bicubic_upscale_plane(plane: np.ndarray, scale: int) -> np.ndarray:
@@ -216,13 +243,6 @@ def bicubic_upscale_plane(plane: np.ndarray, scale: int) -> np.ndarray:
     if plane.ndim != 2 or plane.size == 0 or scale < 1:
         raise DimensionError(f"expected a non-empty 2-D plane, scale >= 1: {plane.shape}, {scale}")
     return _bicubic_planes(plane[None], scale)[0]
-
-
-def bicubic_upscale(plane: Tensor3, scale: int) -> Tensor3:
-    """bicubic_upscale_plane of a single-channel Tensor3."""
-    if plane.channels != 1:
-        raise DimensionError("bicubic_upscale expects a single-channel plane")
-    return Tensor3(bicubic_upscale_plane(plane.data[0], scale)[None])
 
 
 # ITU-R BT.601 studio swing (Y in [16,235], Cb/Cr in [16,240])
@@ -245,9 +265,11 @@ def rgb_to_ycbcr(img: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return y, cb, cr
 
 
-def _ycbcr_into_rgb(y: np.ndarray, cb: np.ndarray, cr: np.ndarray) -> np.ndarray:
+def _ycbcr_into_rgb(y: np.ndarray, cb: np.ndarray, cr: np.ndarray,
+                    rgb: np.ndarray) -> np.ndarray:
     """ycbcr_to_rgb in place on float64 planes of one shape, with one scratch
-    plane: y, cb and cr are left holding G, B and R."""
+    plane, into the (H, W, 3) uint8 `rgb`: y, cb and cr are left holding G, B
+    and R."""
     y -= 16.0
     y *= 255.0 / 219.0
     for c, k in ((cr, _KR), (cb, _KB)):
@@ -259,7 +281,6 @@ def _ycbcr_into_rgb(y: np.ndarray, cb: np.ndarray, cr: np.ndarray) -> np.ndarray
     y -= scratch
     y -= np.multiply(cb, _KB, out=scratch)
     y /= _KG
-    rgb = np.empty(y.shape + (3,), dtype=np.uint8)
     for c, plane in enumerate((cr, y, cb)):         # rounded and clamped in place
         rgb[..., c] = np.clip(np.rint(plane, out=plane), 0, 255, out=plane)
     return rgb
@@ -268,8 +289,8 @@ def _ycbcr_into_rgb(y: np.ndarray, cb: np.ndarray, cr: np.ndarray) -> np.ndarray
 def ycbcr_to_rgb(y: np.ndarray, cb: np.ndarray, cr: np.ndarray) -> np.ndarray:
     """Inverse of rgb_to_ycbcr, rounded and clamped to 8-bit RGB; the inputs
     are left alone."""
-    planes = np.broadcast_arrays(y, cb, cr)
-    return _ycbcr_into_rgb(*(np.array(p, dtype=np.float64) for p in planes))
+    planes = [np.array(p, dtype=np.float64) for p in np.broadcast_arrays(y, cb, cr)]
+    return _ycbcr_into_rgb(*planes, np.empty(planes[0].shape + (3,), dtype=np.uint8))
 
 
 def psnr(a, b, border: int = 0) -> float:

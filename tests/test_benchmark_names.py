@@ -39,3 +39,25 @@ def test_transform_verify_workload_runs(monkeypatch):
     assert counts["scheduler.simulate_dclp.cycles"] == counts["scheduler.L7.cycles_proposed"] > 0
     kind, call, check = work.op(lib, 1)
     assert kind == "sim" and check(call())
+
+
+def test_super_resolution_workloads_run(monkeypatch):
+    # sr_batch and sr_stream, at small shapes: a pipeline change must keep
+    # their model counts computable and every op kind passing its own check
+    monkeypatch.syspath_prepend(str(BENCH))
+    wl = importlib.import_module("workloads")
+    lib = SimpleNamespace(**{n: importlib.import_module(f"tdcnet.{n}")
+                             for n in ("dataflow", "model", "pipeline", "quant",
+                                       "reference", "scheduler", "tdc")})
+    ws = lib.model.parse_weights(wl.weight_doc(0))
+    lib.nets = {s: ws.network(s) for s in wl.SCALES}
+    for scale, h, w, streaming in ((4, 9, 8, False), (3, 4, 12, True)):
+        work = wl.SuperResolution(0, scale, h, w, streaming)
+        counts = work.model_counts(lib, lib.nets, 0)
+        assert counts["tdc.L0.macs_dense"] == 5 * 5 * wl.X * h * w
+        if streaming:
+            # both are the planned line buffers of the same network and width
+            assert counts["pipeline.stream.peak_samples"] == counts["dataflow.line_buffer_words"] > 0
+        for i, want in enumerate(work.kinds):
+            kind, call, check = work.op(lib, i)
+            assert kind == want and check(call())

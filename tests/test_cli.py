@@ -92,6 +92,8 @@ class TestReports:
         assert rows[2]["baseline_cycles"] == 21233016
         assert rows[4]["proposed_cycles"] == 393204
         assert rows[4]["unexplained_discrepancy"] is True
+        assert rows[4]["nine_phase_tile"] == {"tm": 9, "proposed_cycles": 786408}
+        assert all("nine_phase_tile" not in rows[s] for s in (2, 3))
 
     def test_cycles_custom(self, capsys, schema):
         code, report = run_json(capsys, [

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -255,3 +258,33 @@ class TestStreaming:
             if dts:
                 idx += 1
         assert stats.peak_samples == expected
+
+
+class TestMemory:
+    """Rows in, rows out: a call keeps only tile-sized float scratch, so its
+    traced allocation peak grows with its 8-bit output alone."""
+
+    MARGIN = 16384          # bytes; a float64 copy of the smaller input plane is 73728
+
+    @pytest.mark.parametrize("run", [infer, infer_streaming])
+    @pytest.mark.parametrize("rgb", [False, True], ids=["grey", "rgb"])
+    @pytest.mark.parametrize("mode", ["float", "fixed"])
+    def test_doubling_height_adds_only_output(self, run, rgb, mode):
+        net = random_net(np.random.default_rng(5), scale=2, depth=3)
+        w = 96
+
+        def peak(h):
+            img = np.random.default_rng(h).integers(0, 256, (h, w, 3) if rgb else (h, w),
+                                                    dtype=np.uint8)
+            run(img, net, 2, mode)             # numpy's one-off allocations first
+            gc.collect()
+            tracemalloc.start()
+            try:
+                run(img, net, 2, mode)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        h = 3 * quant._tile_rows(w)            # so both heights run a tile between the edge ones
+        extra_output = h * w * 2 * 2 * (3 if rgb else 1)
+        assert peak(2 * h) - peak(h) <= extra_output + self.MARGIN

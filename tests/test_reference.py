@@ -5,10 +5,10 @@ import pytest
 
 from tdcnet.errors import DimensionError
 from tdcnet.model import DeconvLayerSpec, Tensor3, conv_layer
-from tdcnet.reference import (_cubic_kernel, bicubic_upscale, bicubic_upscale_plane,
-                              canvas_window, conv2d, deconv2d_canvas,
-                              depth_to_space, prelu, psnr, rgb_to_ycbcr,
-                              ycbcr_to_rgb)
+from tdcnet.reference import (_bicubic_planes, _cubic_kernel, _taps_window,
+                              bicubic_upscale_plane, canvas_window, conv2d,
+                              deconv2d_canvas, depth_to_space, prelu, psnr,
+                              rgb_to_ycbcr, ycbcr_to_rgb)
 
 from conftest import random_deconv
 
@@ -130,6 +130,20 @@ class TestDepthToSpace:
         assert np.array_equal(depth_to_space(t, 2).data[0],
                               [[1.0, 2.0], [3.0, 4.0]])
 
+    @pytest.mark.parametrize("scale", [1, 2, 3, 4])
+    @pytest.mark.parametrize("h", [1, 2, 5, 9])
+    def test_row_bands_equal_whole_plane(self, scale, h):
+        # a band reads only its taps' input rows, yet every sample is the
+        # whole-plane one, for every band of whole input rows
+        rng = np.random.default_rng([scale, h])
+        planes = rng.uniform(-300.0, 600.0, (2, h, 7))
+        whole = _bicubic_planes(planes, scale)
+        for i0 in range(h):
+            for i1 in range(i0 + 1, h + 1):
+                band = _bicubic_planes(planes[:, _taps_window(i0, i1, h)], scale,
+                                       (i0 * scale, i1 * scale))
+                assert np.array_equal(band, whole[:, i0 * scale:i1 * scale])
+
     def test_s1_identity(self, rng):
         t = Tensor3(rng.normal(size=(3, 2, 2)))
         assert np.array_equal(depth_to_space(t, 1).data, t.data)
@@ -216,16 +230,6 @@ class TestBicubic:
         fine = (np.arange(32) + 0.5) / 2 - 0.5
         assert np.allclose(out[:, 4:-4], np.tile(fine, (8, 1))[:, 4:-4],
                            rtol=0, atol=1e-9)
-
-    @pytest.mark.parametrize("scale", [1, 2, 3, 4])
-    def test_tensor_wrapper(self, rng, scale):
-        p = rng.normal(size=(3, 5))
-        out = bicubic_upscale(Tensor3(p[None]), scale)
-        assert np.array_equal(out.data, bicubic_upscale_plane(p, scale)[None])
-
-    def test_single_channel_required(self):
-        with pytest.raises(DimensionError):
-            bicubic_upscale(Tensor3(np.zeros((2, 3, 3))), 2)
 
 
 class TestColor:
