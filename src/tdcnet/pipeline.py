@@ -10,11 +10,11 @@ layer executor of `quant`, each layer keeping only its last kernel - 1 input
 rows between pushes: batch in row tiles sized to stay in cache, streaming one
 row at a time. The results are identical (exactly in float, bitwise in fixed).
 
-Rows in, rows out: each input tile is converted and normalised on its own,
-and each block of output rows the executor yields is finished into the one
-preallocated 8-bit output. Colour output is converted in bands of a batch
-tile's high-resolution rows, each from only the input rows its chroma taps
-read, so no whole-plane float copy of the input or of the output exists.
+Rows in, rows out: each input tile is converted to Y and normalised on its
+own, and each output block the executor yields is finished into the one
+preallocated 8-bit output. Colour is converted between the executor's tiles
+in bands whose float64 Y, Cb and Cr fit its scratch budget, each from only the
+input rows its chroma taps read: no whole-plane float copy of the image exists.
 """
 from __future__ import annotations
 
@@ -26,8 +26,9 @@ import numpy as np
 from .dataflow import plan_dataflow
 from .errors import ConfigurationError, DimensionError
 from .model import NetworkSpec
-from .quant import QFormat, _forward, _layers, _rint_codes, _tile_rows, quantize_network
-from .reference import _bicubic_planes, _taps_window, _ycbcr_into_rgb, rgb_to_ycbcr
+from .quant import QFormat, _forward, _layers, _rint_codes, quantize_network
+from .reference import (_bicubic_planes, _luma, _rows_within, _taps_window, _ycbcr_into_rgb,
+                        rgb_to_ycbcr)
 
 _Q13 = QFormat(13, 9)       # default weight and activation format
 
@@ -50,9 +51,8 @@ def _chroma_into(img: np.ndarray, scale: int, out: np.ndarray, r0: int, r1: int)
     their taps read; returns r1."""
     lr = _taps_window(r0 // scale, r1 // scale, img.shape[0])
     _, cb, cr = rgb_to_ycbcr(img[lr])
-    band = out[r0:r1]
-    _ycbcr_into_rgb(band[..., 1].astype(np.float64),
-                    *_bicubic_planes(np.stack((cb, cr)), scale, (r0, r1)), band)
+    cb, cr = _bicubic_planes(np.stack((cb, cr)), scale, (r0, r1))
+    _ycbcr_into_rgb(out[r0:r1, :, 1].astype(np.float64), cb, cr, out[r0:r1])
     return r1
 
 
@@ -81,11 +81,16 @@ def _infer(image, net: NetworkSpec, scale: int, mode: str, q_weights: Optional[Q
         layers = _layers(None, quantize_network(net, q_weights or _Q13, qa))
         lsb, norm = qa.step, lambda t: _rint_codes(t / 255.0, qa)
     rgb = img.ndim == 3
-    prep = (lambda t: norm(rgb_to_ycbcr(t[0])[0])[None]) if rgb else norm
     out = np.empty((img.shape[0] * scale, img.shape[1] * scale) + img.shape[2:], np.uint8)
     luma = out[..., 1] if rgb else out        # G holds each luma row until its band converts
-    band = _tile_rows(img.shape[1]) * scale
+    # a band's float64 Y, Cb and Cr within the budget, of at least the 4 input rows its taps add
+    band = scale * max(4, _rows_within(24 * img.shape[1] * scale ** 2))
     done = converted = 0
+    def prep(tile):     # between tiles: colour for the bands done, then the tile's Y
+        nonlocal converted
+        while rgb and done - converted >= band:
+            converted = _chroma_into(img, scale, out, converted, converted + band)
+        return norm(_luma(tile[0].astype(np.float64))[1])[None] if rgb else norm(tile)
     for block in _forward(layers, img[None], rows, prep=prep):
         y = block[0]
         if lsb is not None:
@@ -93,10 +98,9 @@ def _infer(image, net: NetworkSpec, scale: int, mode: str, q_weights: Optional[Q
         y *= 255.0
         luma[done:done + len(y)] = np.clip(np.rint(y, out=y), 0.0, 255.0, out=y)
         done += len(y)
-        del block, y                           # before the executor runs the next tile
-        while rgb and (done - converted >= band or converted < done == len(out)):
-            converted = _chroma_into(img, scale, out, converted,
-                                     min(converted + band, done))
+        del block, y                           # before the executor runs the next push
+    while rgb and converted < done:
+        converted = _chroma_into(img, scale, out, converted, min(converted + band, done))
     return out
 
 

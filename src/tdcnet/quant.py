@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import ConfigurationError, DimensionError
 from .model import ConvLayerSpec, DeconvLayerSpec, NetworkSpec, Tensor3
-from .reference import _prelu_into, conv_rows, conv_taps, depth_to_space_array, psnr
+from .reference import (_TILE_PIXELS, _prelu_into, _rows_within, conv_rows, conv_taps,
+                        depth_to_space_array, psnr)
 from .tdc import transform_weights
 
 
@@ -213,7 +214,7 @@ def quantized_conv_rows(qlayer: QuantizedLayer, padded: np.ndarray,
                 hi = np.clip(v >> bits, -cap, cap) * slope
                 sv = (v & (1 << bits) - 1) * slope
                 sv += (hi & 1) << bits
-                _rshift_half_even_into(sv, bits, odd)
+                _rshift_half_even_into(sv, bits, odd[:, :v.shape[1]])
                 return sv + (hi & -2)
             _prelu_into(acc, slopes, product)
         _rshift_half_even_into(acc, bits, odd)
@@ -236,11 +237,11 @@ class _Layer:
         self.spec, self.run, self.scale = spec, run, scale
         self.carry: Optional[np.ndarray] = None
 
-    def block(self, rows: np.ndarray, last: bool) -> Optional[np.ndarray]:
+    def block(self, rows: np.ndarray, pad: int) -> Optional[np.ndarray]:
         """The padded block that the next (N, R, W) input rows complete, or None.
 
-        The first block starts with the top zero padding and the last one
-        (last=True) ends with the bottom padding, so it flushes the layer.
+        The first block starts with the top zero padding; `pad` rows of the
+        bottom padding follow the rows, which flushes the layer.
         """
         k, pb = self.spec.kernel, self.spec.pad_before
         n, r, w = rows.shape
@@ -249,7 +250,7 @@ class _Layer:
         if k == 1:
             return rows
         c = pb if self.carry is None else self.carry.shape[1]
-        block = np.zeros((n, c + r + (self.spec.pad_after if last else 0), w + k - 1))
+        block = np.zeros((n, c + r + pad, w + k - 1))
         if self.carry is not None:
             block[:, :c] = self.carry
         block[:, c:c + r, pb:pb + w] = rows
@@ -273,9 +274,6 @@ def _layers(net: Optional[NetworkSpec], qnet: Optional[QuantizedNetwork] = None)
     return [_Layer(c, lambda b, c=c: conv_rows(b, c), dts) for c, dts in _inference_convs(net)]
 
 
-_TILE_PIXELS = 3072       # batch row tile, in input pixels: 32 rows of a 96-wide plane
-
-
 def _tile_rows(w: int) -> int:
     """Rows of a batch tile of a W-wide plane."""
     return max(2, _TILE_PIXELS // w)
@@ -284,41 +282,51 @@ def _tile_rows(w: int) -> int:
 def _forward(layers: list[_Layer], x: np.ndarray, rows: Optional[int] = None,
              trace: Optional[list[list]] = None, prep=None):
     """Push (C, H, W) input through the layers `rows` rows at a time and yield
-    the last layer's output blocks in row order. rows=None is batch
-    inference, in tiles of _tile_rows(W) rows so that each layer's scratch
-    stays in cache rather than spanning the plane; rows=1 emulates the
-    streaming line buffers. Any two tile heights agree bit for bit because
-    conv_taps gives each output row the same matmul shapes for any block
-    height (in float this rests on the BLAS, which
-    test_conv_taps_rows_independent checks). The last push is one row, so
-    that what it flushes (each layer's held rows and bottom padding) adds to
-    one row rather than to a tile. A layer's input is released as soon as
-    its block is built, before the conv runs. `prep`, when given,
-    maps each batch tile (C, R, W, ...) of x to the first layer's input rows,
-    so that no whole-plane copy of the input is made; `trace` receives every
-    layer's output blocks, one list per layer."""
+    the last layer's output blocks in row order: rows=None is batch inference,
+    in tiles of _tile_rows(W) rows, and rows=1 emulates the streaming line
+    buffers. Any two tile heights agree bit for bit because conv_taps gives
+    each output row the same matmul shapes for any block height (in float
+    this rests on the BLAS, which test_conv_taps_rows_independent checks). A
+    push whose padded block or output (so also stacked tap windows, N*K*K <=
+    M) would pass the scratch budget at a layer goes on from there as even
+    sub-pushes, bottom padding included, each through the rest of the chain
+    before the next. A layer's input is released as soon as its block is
+    built, before the conv runs. `prep`, when given, maps each batch tile
+    (C, R, W, ...) of x to the first layer's input rows between tiles, when
+    the layers hold only their carries, so that no whole-plane copy of the
+    input is made; `trace` gets every layer's output blocks, a list each."""
     if x.ndim < 3 or min(x.shape) < 1:
         raise DimensionError(f"expected non-empty (C, H, W) input, got shape {x.shape}")
     h, w = x.shape[1:3]
     tile = _tile_rows(w)
     step = min(rows or tile, tile)
+    caps = [min(_rows_within(8 * c.in_maps * (w + c.kernel - 1), c.kernel - 1),
+                _rows_within(8 * c.out_maps * w)) for c in (layer.spec for layer in layers)]
+    pads = [layer.spec.pad_after for layer in layers] + [0]
     for t in range(0, h, tile):
         rows_in = x[:, t:t + tile] if prep is None else prep(x[:, t:t + tile])
-        n = rows_in.shape[1]
-        starts = list(range(0, n, step))
-        if t + n == h and n - 1 > starts[-1]:
-            starts.append(n - 1)
-        for r0, r1 in zip(starts, starts[1:] + [n]):
-            cur = rows_in[:, r0:r1]
-            for i, layer in enumerate(layers):
-                cur = layer.block(cur, t + r1 >= h)
-                if cur is None:
-                    break
-                cur = layer(cur)
-                if trace is not None:
-                    trace[i].append(cur)
-            else:
-                yield cur
+        for r0 in range(0, rows_in.shape[1], step):
+            end = t + min(r0 + step, rows_in.shape[1]) >= h
+            todo = [(0, rows_in[:, r0:r0 + step], pads[0] * end, end)]   # (layer, rows, pad, flush)
+            while todo:
+                i, cur, pad, end = todo.pop()
+                for i in range(i, len(layers)):
+                    ext = cur.shape[1] + pad
+                    if ext > caps[i]:           # even sub-pushes, last first
+                        n, r = -(-ext // -(-ext // caps[i])), cur.shape[1]
+                        todo += [(i, cur[:, a:a + n], max(0, min(a + n, ext) - max(a, r)),
+                                  end and a + n >= ext) for a in reversed(range(0, ext, n))]
+                        break
+                    cur = layers[i].block(cur, pad)
+                    if cur is None:
+                        break
+                    cur = layers[i](cur)
+                    if trace is not None:
+                        trace[i].append(cur)
+                    pad = pads[i + 1] * end
+                else:
+                    yield cur
+        rows_in = cur = None                # before prep runs again
 
 
 def _planes(layers: list[_Layer], x: np.ndarray, collect: bool):

@@ -17,6 +17,14 @@ import numpy as np
 from .errors import DimensionError
 from .model import ConvLayerSpec, DeconvLayerSpec, Tensor3
 
+_TILE_PIXELS = 3072       # batch row tile, in input pixels: 32 rows of a 96-wide plane
+_SCRATCH_BYTES = 32 * 8 * _TILE_PIXELS    # any one per-push temporary: 32 float64 maps of a tile
+
+
+def _rows_within(row_bytes: int, held: int = 0) -> int:
+    """Rows of `row_bytes`, at least one, that fit the budget beside `held` more."""
+    return max(1, _SCRATCH_BYTES // row_bytes - held)
+
 
 def conv_taps(padded: np.ndarray, weights: np.ndarray, bias: np.ndarray,
               tap_maps: Optional[tuple[Optional[slice], ...]] = None) -> np.ndarray:
@@ -65,10 +73,14 @@ def conv_taps(padded: np.ndarray, weights: np.ndarray, bias: np.ndarray,
 
 
 def _prelu_into(v: np.ndarray, slopes: np.ndarray, product) -> None:
-    """PReLU in place on (M, R, W) sums, for float and fixed-point layers alike:
-    max(v, s * v) where s <= 1, and where s > 1 min(v, s * v), the max on rows
-    negated before and after. `product(v)` gives slope * v per map for the M
-    `slopes`, plain in float and rounded half to even in fixed point."""
+    """PReLU in place on (M, R, W) sums, a budget's rows at a time, for float
+    and fixed point: max(v, s * v) where s <= 1, and where s > 1 min(v, s * v),
+    the max on rows negated before and after. `product(v)` gives slope * v per
+    map for the M `slopes`, plain in float, rounded half to even in fixed point."""
+    if v.nbytes > _SCRATCH_BYTES and v.shape[1] > 1:
+        for y in range(0, v.shape[1], step := _rows_within(v.nbytes // v.shape[1])):
+            _prelu_into(v[:, y:y + step], slopes, product)
+        return
     steep = slopes > 1
     flip = steep.any()
     if flip:
@@ -249,20 +261,21 @@ def bicubic_upscale_plane(plane: np.ndarray, scale: int) -> np.ndarray:
 _KR, _KG, _KB = 0.299, 0.587, 0.114
 
 
+def _luma(rgb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Full-range and clipped studio-swing Y of float64 RGB (..., 3)."""
+    y_full = _KR * rgb[..., 0] + _KG * rgb[..., 1] + _KB * rgb[..., 2]
+    return y_full, np.clip(16.0 + (219.0 / 255.0) * y_full, 16.0, 235.0)
+
+
 def rgb_to_ycbcr(img: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """8-bit RGB (H, W, 3) to real-valued studio-swing Y/Cb/Cr planes."""
     rgb = np.asarray(img, dtype=np.float64)
     if rgb.ndim != 3 or rgb.shape[2] != 3:
         raise DimensionError(f"expected (H, W, 3) RGB image, got {rgb.shape}")
-    r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
-    y_full = _KR * r + _KG * g + _KB * b
-    y = 16.0 + (219.0 / 255.0) * y_full
-    cb = 128.0 + (112.0 / 255.0) * (b - y_full) / (1.0 - _KB)
-    cr = 128.0 + (112.0 / 255.0) * (r - y_full) / (1.0 - _KR)
-    y = np.clip(y, 16.0, 235.0)
-    cb = np.clip(cb, 16.0, 240.0)
-    cr = np.clip(cr, 16.0, 240.0)
-    return y, cb, cr
+    y_full, y = _luma(rgb)
+    cb = 128.0 + (112.0 / 255.0) * (rgb[..., 2] - y_full) / (1.0 - _KB)
+    cr = 128.0 + (112.0 / 255.0) * (rgb[..., 0] - y_full) / (1.0 - _KR)
+    return y, np.clip(cb, 16.0, 240.0), np.clip(cr, 16.0, 240.0)
 
 
 def _ycbcr_into_rgb(y: np.ndarray, cb: np.ndarray, cr: np.ndarray,

@@ -6,16 +6,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tdcnet import quant
+from tdcnet import quant, reference
 from tdcnet.errors import ConfigurationError, DimensionError
-from tdcnet.model import NetworkSpec, Tensor3, conv_layer
+from tdcnet.model import NetworkSpec, Tensor3, conv_layer, parse_weights
 from tdcnet.pipeline import StreamStats, infer, infer_streaming
 from tdcnet.quant import (QFormat, _inference_convs, quantize_array,
                           quantize_network, quantized_conv_rows, quantized_forward)
-from tdcnet.reference import (bicubic_upscale_plane, conv2d, depth_to_space,
+from tdcnet.reference import (bicubic_upscale_plane, conv2d, conv_rows, depth_to_space,
                               depth_to_space_array, rgb_to_ycbcr, ycbcr_to_rgb)
 
-from conftest import random_net
+from conftest import random_net, random_weight_doc
 
 Q13 = QFormat(13, 9)
 
@@ -288,3 +288,55 @@ class TestMemory:
         h = 3 * quant._tile_rows(w)            # so both heights run a tile between the edge ones
         extra_output = h * w * 2 * 2 * (3 if rgb else 1)
         assert peak(2 * h) - peak(h) <= extra_output + self.MARGIN
+
+
+class TestScratchBudget:
+    """The executor's private scratch budget (reference._SCRATCH_BYTES) bounds
+    every per-push temporary: a layer forms its PReLU products a budget's rows
+    at a time, so no temporary of its block's size exists beside its output."""
+
+    @staticmethod
+    def _peak(call):
+        call()                                  # numpy's one-off allocations first
+        gc.collect()
+        tracemalloc.start()
+        try:
+            out = call()
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("mode", ["float", "fixed"])
+    def test_prelu_adds_at_most_the_budget(self, mode):
+        # the 1x1 12 -> 56 expansion layer on a 32-row, 96-wide block: its
+        # output is 1.31 MiB, more than the budget, and some slopes above
+        # 1 take the negated-max path. Beyond the conv's own peak (its output
+        # and numpy's matmul scratch) the whole layer may add only the budget
+        rng = np.random.default_rng(17)
+        layer = conv_layer(1, 56, 12, rng.normal(0, 0.3, (56, 12, 1, 1)),
+                           rng.normal(0, 0.05, 56), rng.uniform(0, 1.5, 56))
+        block = rng.uniform(-1, 1, (12, 32, 96))
+        if mode == "float":
+            weights, bias = layer.weights, layer.bias
+            out, peak = self._peak(lambda: conv_rows(block, layer))
+        else:
+            qnet = quantize_network(NetworkSpec((layer,)), Q13, Q13)
+            ql, block = qnet.layers[0], quantize_array(block, Q13).astype(np.float64)
+            weights, bias = ql.weights_raw, ql.bias_raw
+            out, peak = self._peak(lambda: quantized_conv_rows(ql, block, qnet))
+        sums, conv_peak = self._peak(lambda: reference.conv_taps(block, weights, bias))
+        assert out.shape == sums.shape == (56, 32, 96)
+        assert out.nbytes > reference._SCRATCH_BYTES
+        assert conv_peak < out.nbytes + 2 ** 16
+        assert peak <= conv_peak + reference._SCRATCH_BYTES
+
+    @pytest.mark.parametrize("mode", ["float", "fixed"])
+    def test_fsrcnn_infer_peak(self, mode):
+        # FSRCNN(56, 12, 4, K_D = 9) at 96x96 RGB, s = 4: the uint8 output is
+        # 0.42 MiB; the rest is the executor's bounded pushes or a chroma band
+        # (2.4 MiB in all, against 3.6 / 3.8 MiB with block-sized products)
+        ws = parse_weights(random_weight_doc(np.random.default_rng(3), x=56, y=12, z=4,
+                                             kd=9, scales=(4,)))
+        img = np.random.default_rng(4).integers(0, 256, (96, 96, 3), dtype=np.uint8)
+        _, peak = self._peak(lambda: infer(img, ws.network(4), 4, mode))
+        assert peak < 2.6 * 2 ** 20

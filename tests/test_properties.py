@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from tdcnet import quant
+from tdcnet import quant, reference
 from tdcnet.imageio import read_image, write_image
 from tdcnet.model import (DeconvLayerSpec, FsrcnnConfig, Tensor3, WeightSet, _conv_shapes,
                           conv_layer, parse_weights, save_weights, tap_map_runs)
@@ -462,6 +462,40 @@ def test_streaming_equals_batch(mode, seed, scale, h, w):
     img = rng.integers(0, 256, (h, w)).astype(np.uint8)
     assert np.array_equal(infer_streaming(img, net, scale, mode=mode),
                           infer(img, net, scale, mode=mode))
+
+
+@pytest.mark.parametrize("mode", ["float", "fixed"])
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), scale=st.integers(2, 4), rgb=st.booleans(),
+       h=st.integers(1, 9), w=st.integers(1, 9))
+def test_scratch_budget_splits_change_nothing(mode, seed, scale, rgb, h, w):
+    # a one-byte budget splits every push, bottom padding included, into
+    # sub-pushes of one row, so every block holds just K rows or fewer; the
+    # outputs and every layer's trace must not move by a bit
+    rng = np.random.default_rng(seed)
+    net = random_net(rng, scale=scale, depth=3)
+    img = rng.integers(0, 256, (h, w, 3) if rgb else (h, w)).astype(np.uint8)
+    x = rng.uniform(0, 1, (1, h, w))
+    qnet = quant.quantize_network(net, QFormat(13, 9), QFormat(13, 9))
+
+    def run():
+        outs = [f(img, net, scale, mode=mode) for f in (infer, infer_streaming)]
+        if mode == "float":
+            out, trace = quant.float_forward(net, Tensor3(x), collect=True)
+            return outs + [out.data] + [t.data for t in trace]
+        out, trace = quant.quantized_forward(qnet, quantize_array(x, QFormat(13, 9)), collect=True)
+        return outs + [out] + trace
+
+    want = run()
+    heights = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reference, "_SCRATCH_BYTES", 1)
+        call = quant._Layer.__call__
+        mp.setattr(quant._Layer, "__call__", lambda self, block: (
+            heights.append(block.shape[1] - self.spec.kernel) or call(self, block)))
+        got = run()
+    assert heights and max(heights) <= 0
+    assert all(_same_bits(a, b) for a, b in zip(got, want))
 
 
 @st.composite
