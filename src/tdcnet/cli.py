@@ -186,12 +186,12 @@ def _cmd_verify_tdc(args, argv):
 
 
 def _cmd_schedule(args, argv):
+    _positive(args, "kd", "stride", "pes")
     layer = DeconvLayerSpec(
         args.kd, args.stride, 1, 1,
         np.arange(1.0, args.kd ** 2 + 1).reshape(1, 1, args.kd, args.kd),
         np.zeros(1),
     )
-    _positive(args, "pes")
     pes = args.stride ** 2 if args.pes is None else args.pes
     ls = scheduler.schedule_deconv_layer(layer, pes)
     sched = ls.groups[(0, 0)]

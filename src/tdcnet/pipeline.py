@@ -12,9 +12,9 @@ row at a time. The results are identical (exactly in float, bitwise in fixed).
 
 Rows in, rows out: each input tile is converted to Y and normalised on its
 own, and each output block the executor yields is finished into the one
-preallocated 8-bit output. Colour is converted between the executor's tiles
-in bands whose float64 Y, Cb and Cr fit its scratch budget, each from only the
-input rows its chroma taps read: no whole-plane float copy of the image exists.
+preallocated 8-bit output. Colour is converted after the luma, in bands whose
+float64 Y, Cb and Cr fit the scratch budget, each from only the input rows
+its chroma taps read: no whole-plane float copy of the image exists.
 """
 from __future__ import annotations
 
@@ -45,21 +45,20 @@ class StreamStats:
     peak_samples: dict[int, int] = field(default_factory=dict)
 
 
-def _chroma_into(img: np.ndarray, scale: int, out: np.ndarray, r0: int, r1: int) -> int:
+def _chroma_into(img: np.ndarray, scale: int, out: np.ndarray, r0: int, r1: int) -> None:
     """Convert high-resolution rows r0..r1 - 1 of `out` to RGB, their G plane
     holding the finished luma, with Cb/Cr upscaled from just the input rows
-    their taps read; returns r1."""
+    their taps read."""
     lr = _taps_window(r0 // scale, r1 // scale, img.shape[0])
     _, cb, cr = rgb_to_ycbcr(img[lr])
     cb, cr = _bicubic_planes(np.stack((cb, cr)), scale, (r0, r1))
     _ycbcr_into_rgb(out[r0:r1, :, 1].astype(np.float64), cb, cr, out[r0:r1])
-    return r1
 
 
 def _infer(image, net: NetworkSpec, scale: int, mode: str, q_weights: Optional[QFormat],
            q_activations: Optional[QFormat], rows: Optional[int]) -> np.ndarray:
     """Checks, then the luma network pushed `rows` rows at a time, each output
-    block finished in place, and the chroma path in bands."""
+    block finished in place, then the chroma path in bands."""
     img = np.asarray(image)
     if img.dtype != np.uint8:
         raise ConfigurationError(f"expected an 8-bit image, got dtype {img.dtype}")
@@ -83,14 +82,8 @@ def _infer(image, net: NetworkSpec, scale: int, mode: str, q_weights: Optional[Q
     rgb = img.ndim == 3
     out = np.empty((img.shape[0] * scale, img.shape[1] * scale) + img.shape[2:], np.uint8)
     luma = out[..., 1] if rgb else out        # G holds each luma row until its band converts
-    # a band's float64 Y, Cb and Cr within the budget, of at least the 4 input rows its taps add
-    band = scale * max(4, _rows_within(24 * img.shape[1] * scale ** 2))
-    done = converted = 0
-    def prep(tile):     # between tiles: colour for the bands done, then the tile's Y
-        nonlocal converted
-        while rgb and done - converted >= band:
-            converted = _chroma_into(img, scale, out, converted, converted + band)
-        return norm(_luma(tile[0].astype(np.float64))[1])[None] if rgb else norm(tile)
+    prep = (lambda t: norm(_luma(t[0].astype(np.float64))[1])[None]) if rgb else norm
+    done = 0
     for block in _forward(layers, img[None], rows, prep=prep):
         y = block[0]
         if lsb is not None:
@@ -99,8 +92,10 @@ def _infer(image, net: NetworkSpec, scale: int, mode: str, q_weights: Optional[Q
         luma[done:done + len(y)] = np.clip(np.rint(y, out=y), 0.0, 255.0, out=y)
         done += len(y)
         del block, y                           # before the executor runs the next push
-    while rgb and converted < done:
-        converted = _chroma_into(img, scale, out, converted, min(converted + band, done))
+    if rgb:     # a band's float64 Y, Cb and Cr within the budget, of at least 4 input rows
+        band = scale * max(4, _rows_within(24 * img.shape[1] * scale ** 2))
+        for r0 in range(0, done, band):
+            _chroma_into(img, scale, out, r0, min(r0 + band, done))
     return out
 
 

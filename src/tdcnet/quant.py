@@ -214,7 +214,7 @@ def quantized_conv_rows(qlayer: QuantizedLayer, padded: np.ndarray,
                 hi = np.clip(v >> bits, -cap, cap) * slope
                 sv = (v & (1 << bits) - 1) * slope
                 sv += (hi & 1) << bits
-                _rshift_half_even_into(sv, bits, odd[:, :v.shape[1]])
+                _rshift_half_even_into(sv, bits, odd)
                 return sv + (hi & -2)
             _prelu_into(acc, slopes, product)
         _rshift_half_even_into(acc, bits, odd)
@@ -286,15 +286,15 @@ def _forward(layers: list[_Layer], x: np.ndarray, rows: Optional[int] = None,
     in tiles of _tile_rows(W) rows, and rows=1 emulates the streaming line
     buffers. Any two tile heights agree bit for bit because conv_taps gives
     each output row the same matmul shapes for any block height (in float
-    this rests on the BLAS, which test_conv_taps_rows_independent checks). A
-    push whose padded block or output (so also stacked tap windows, N*K*K <=
-    M) would pass the scratch budget at a layer goes on from there as even
-    sub-pushes, bottom padding included, each through the rest of the chain
-    before the next. A layer's input is released as soon as its block is
+    this rests on the BLAS, which test_conv_taps_rows_independent checks).
+    Per-layer caps are the one bound on a push's scratch: a push whose padded
+    block or output (so also stacked tap windows, N*K*K <= M, and PReLU
+    products) would pass the scratch budget at a layer goes on from there as
+    even sub-pushes, bottom padding included, each through the rest of the
+    chain before the next. A layer's input is released once its block is
     built, before the conv runs. `prep`, when given, maps each batch tile
-    (C, R, W, ...) of x to the first layer's input rows between tiles, when
-    the layers hold only their carries, so that no whole-plane copy of the
-    input is made; `trace` gets every layer's output blocks, a list each."""
+    (C, R, W, ...) of x to the first layer's input rows, so that no copy of
+    the whole input is made; `trace` gets each layer's output blocks."""
     if x.ndim < 3 or min(x.shape) < 1:
         raise DimensionError(f"expected non-empty (C, H, W) input, got shape {x.shape}")
     h, w = x.shape[1:3]
@@ -326,7 +326,6 @@ def _forward(layers: list[_Layer], x: np.ndarray, rows: Optional[int] = None,
                     pad = pads[i + 1] * end
                 else:
                     yield cur
-        rows_in = cur = None                # before prep runs again
 
 
 def _planes(layers: list[_Layer], x: np.ndarray, collect: bool):

@@ -73,14 +73,10 @@ def conv_taps(padded: np.ndarray, weights: np.ndarray, bias: np.ndarray,
 
 
 def _prelu_into(v: np.ndarray, slopes: np.ndarray, product) -> None:
-    """PReLU in place on (M, R, W) sums, a budget's rows at a time, for float
-    and fixed point: max(v, s * v) where s <= 1, and where s > 1 min(v, s * v),
-    the max on rows negated before and after. `product(v)` gives slope * v per
-    map for the M `slopes`, plain in float, rounded half to even in fixed point."""
-    if v.nbytes > _SCRATCH_BYTES and v.shape[1] > 1:
-        for y in range(0, v.shape[1], step := _rows_within(v.nbytes // v.shape[1])):
-            _prelu_into(v[:, y:y + step], slopes, product)
-        return
+    """PReLU in place on (M, R, W) sums, for float and fixed point: max(v, s * v)
+    where s <= 1, and where s > 1 min(v, s * v), the max on rows negated before
+    and after. `product(v)` gives slope * v per map for the M `slopes`, plain in
+    float, rounded half to even in fixed point."""
     steep = slopes > 1
     flip = steep.any()
     if flip:

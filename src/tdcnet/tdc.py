@@ -135,8 +135,7 @@ def find_crop_offset(layer: DeconvLayerSpec) -> int:
         np.zeros(1),
     )
     x = Tensor3(rng.integers(-16, 17, size=(1, 4, 4)).astype(float))
-    conv, _ = transform_weights(probe)
-    produced = depth_to_space(conv2d(x, conv), s)
+    produced = deconv_via_transform(x, probe)
     canvas = deconv2d_canvas(x, probe)
     h, w = produced.height, produced.width
     matches = [

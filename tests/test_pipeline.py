@@ -12,7 +12,7 @@ from tdcnet.model import NetworkSpec, Tensor3, conv_layer, parse_weights
 from tdcnet.pipeline import StreamStats, infer, infer_streaming
 from tdcnet.quant import (QFormat, _inference_convs, quantize_array,
                           quantize_network, quantized_conv_rows, quantized_forward)
-from tdcnet.reference import (bicubic_upscale_plane, conv2d, conv_rows, depth_to_space,
+from tdcnet.reference import (bicubic_upscale_plane, conv2d, depth_to_space,
                               depth_to_space_array, rgb_to_ycbcr, ycbcr_to_rgb)
 
 from conftest import random_net, random_weight_doc
@@ -292,8 +292,9 @@ class TestMemory:
 
 class TestScratchBudget:
     """The executor's private scratch budget (reference._SCRATCH_BYTES) bounds
-    every per-push temporary: a layer forms its PReLU products a budget's rows
-    at a time, so no temporary of its block's size exists beside its output."""
+    every per-push temporary: its per-layer caps keep each layer's block and
+    output, so also the PReLU products formed on that output, within the
+    budget or at one row."""
 
     @staticmethod
     def _peak(call):
@@ -307,28 +308,26 @@ class TestScratchBudget:
             tracemalloc.stop()
 
     @pytest.mark.parametrize("mode", ["float", "fixed"])
-    def test_prelu_adds_at_most_the_budget(self, mode):
-        # the 1x1 12 -> 56 expansion layer on a 32-row, 96-wide block: its
-        # output is 1.31 MiB, more than the budget, and some slopes above
-        # 1 take the negated-max path. Beyond the conv's own peak (its output
-        # and numpy's matmul scratch) the whole layer may add only the budget
-        rng = np.random.default_rng(17)
-        layer = conv_layer(1, 56, 12, rng.normal(0, 0.3, (56, 12, 1, 1)),
-                           rng.normal(0, 0.05, 56), rng.uniform(0, 1.5, 56))
-        block = rng.uniform(-1, 1, (12, 32, 96))
-        if mode == "float":
-            weights, bias = layer.weights, layer.bias
-            out, peak = self._peak(lambda: conv_rows(block, layer))
-        else:
-            qnet = quantize_network(NetworkSpec((layer,)), Q13, Q13)
-            ql, block = qnet.layers[0], quantize_array(block, Q13).astype(np.float64)
-            weights, bias = ql.weights_raw, ql.bias_raw
-            out, peak = self._peak(lambda: quantized_conv_rows(ql, block, qnet))
-        sums, conv_peak = self._peak(lambda: reference.conv_taps(block, weights, bias))
-        assert out.shape == sums.shape == (56, 32, 96)
-        assert out.nbytes > reference._SCRATCH_BYTES
-        assert conv_peak < out.nbytes + 2 ** 16
-        assert peak <= conv_peak + reference._SCRATCH_BYTES
+    @pytest.mark.parametrize("shape", [(96, 96, 3), (6, 640), (3, 1920)],
+                             ids=["96x96_rgb", "6x640_grey", "3x1920_grey"])
+    def test_prelu_sums_within_the_budget(self, monkeypatch, mode, shape):
+        # FSRCNN(56, 12, 4, K_D = 9) at s = 4: at 640 and 1920 wide one row of
+        # a 56-map layer is a third of the budget or more, so the caps split
+        # pushes; every block PReLU sees must fit the budget or be one row
+        ws = parse_weights(random_weight_doc(np.random.default_rng(3), x=56, y=12, z=4,
+                                             kd=9, scales=(4,)))
+        img = np.random.default_rng(5).integers(0, 256, shape, dtype=np.uint8)
+        blocks = []
+        prelu = reference._prelu_into
+        def spy(v, slopes, product):
+            blocks.append((v.nbytes, v.shape[1]))
+            prelu(v, slopes, product)
+        monkeypatch.setattr(reference, "_prelu_into", spy)
+        monkeypatch.setattr(quant, "_prelu_into", spy)
+        for f in (infer, infer_streaming):
+            f(img, ws.network(4), 4, mode)
+        assert blocks
+        assert all(size <= reference._SCRATCH_BYTES or rows == 1 for size, rows in blocks)
 
     @pytest.mark.parametrize("mode", ["float", "fixed"])
     def test_fsrcnn_infer_peak(self, mode):
