@@ -164,6 +164,8 @@ def _positive(args, *flags) -> None:
 
 def _cmd_verify_tdc(args, argv):
     _positive(args, "kd", "stride", "trials")
+    if args.seed < 0:
+        raise TdcnetError(f"--seed must be a non-negative integer, got {args.seed}")
     if args.kd is not None:
         pairs = [(args.kd, 2 if args.stride is None else args.stride)]
     elif args.stride is not None:

@@ -86,9 +86,7 @@ def _infer(image, net: NetworkSpec, scale: int, mode: str, q_weights: Optional[Q
     done = 0
     for block in _forward(layers, img[None], rows, prep=prep):
         y = block[0]
-        if lsb is not None:
-            y *= lsb
-        y *= 255.0
+        y *= 255.0 if lsb is None else 255.0 * lsb    # lsb is a power of two: one rounding
         luma[done:done + len(y)] = np.clip(np.rint(y, out=y), 0.0, 255.0, out=y)
         done += len(y)
         del block, y                           # before the executor runs the next push

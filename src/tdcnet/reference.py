@@ -13,17 +13,33 @@ import math
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import DimensionError
 from .model import ConvLayerSpec, DeconvLayerSpec, Tensor3
 
 _TILE_PIXELS = 3072       # batch row tile, in input pixels: 32 rows of a 96-wide plane
 _SCRATCH_BYTES = 32 * 8 * _TILE_PIXELS    # any one per-push temporary: 32 float64 maps of a tile
+_GROUP_BYTES = 128 * 1024  # products of one matmul call over whole kernel rows of conv_taps
 
 
 def _rows_within(row_bytes: int, held: int = 0) -> int:
     """Rows of `row_bytes`, at least one, that fit the budget beside `held` more."""
     return max(1, _SCRATCH_BYTES // row_bytes - held)
+
+
+def _tap_windows(padded: np.ndarray, k: int) -> np.ndarray:
+    """The zero-copy (K, K, R, N, W) view of a padded (N, R + K - 1, W + K - 1)
+    block whose [ky, kx] holds the (R, N, W) input rows of tap (ky, kx). A
+    contiguous block, as every one the executor builds, gets a plain ndarray
+    on its buffer, several times cheaper a call than as_strided, which builds
+    its view through __array_interface__."""
+    n, hp, wp = padded.shape
+    sn, sh, sw = padded.strides
+    shape, strides = (k, k, hp - k + 1, n, wp - k + 1), (sh, sw, sh, sn, sw)
+    if padded.flags.c_contiguous:
+        return np.ndarray(shape, padded.dtype, padded, 0, strides)
+    return as_strided(padded, shape, strides, writeable=False)
 
 
 def conv_taps(padded: np.ndarray, weights: np.ndarray, bias: np.ndarray,
@@ -45,29 +61,47 @@ def conv_taps(padded: np.ndarray, weights: np.ndarray, bias: np.ndarray,
     (test_conv_taps_rows_independent). int64 runs numpy's exact integer
     matmul. Skipping only maps whose weights at that tap are all zero leaves
     every sample unchanged as long as the input is finite.
+
+    Every tap window is read from one view of the block (_tap_windows); the
+    stacked windows are one reshape copy of it. A dense layer (`tap_maps`
+    None) whose products of g whole kernel rows fit _GROUP_BYTES makes one
+    broadcast matmul per g kernel rows, (g, K, 1, M, N) tap matrices against
+    (g, K, R, N, W) windows: numpy still runs each (tap, row) gemm on its own,
+    of the same shape on the same operands, and each tap's product is still
+    added on its own in tap order, so the grouping changes no bit. (Summing a
+    group in one reduction would, as numpy sums pairwise.) Other layers, and
+    blocks too tall for the bound, make one matmul call per tap.
     """
     m, n, k, _ = weights.shape
     r, w = padded.shape[1] - (k - 1), padded.shape[2] - (k - 1)
     dtype = np.result_type(padded, weights)
-    rows = padded.transpose(1, 0, 2)                 # (R + K - 1, N, W + K - 1)
     acc = np.empty((r, m, w), dtype=dtype)
     if k == 1 or n * k * k <= m:
-        stack = rows if k == 1 else np.stack(
-            [rows[ky:ky + r, :, kx:kx + w] for ky in range(k) for kx in range(k)], axis=2)
+        stack = padded.transpose(1, 0, 2) if k == 1 else (     # (R, N*K*K, W)
+            _tap_windows(padded, k).transpose(2, 3, 0, 1, 4).reshape(r, -1, w))
         stacked = weights.reshape(m, -1).astype(dtype, copy=False)   # (n, ky, kx) order
-        np.matmul(stacked, stack.reshape(r, -1, w), out=acc)
+        np.matmul(stacked, stack, out=acc)
         acc += bias[:, None]
         return acc.transpose(1, 0, 2)
     acc[...] = bias[:, None]
-    tmp = np.empty_like(acc)
+    win = _tap_windows(padded, k)
     taps = np.ascontiguousarray(weights.transpose(2, 3, 0, 1), dtype=dtype)   # (K, K, M, N)
+    g = min(k, _GROUP_BYTES // (k * acc.nbytes)) if tap_maps is None and acc.size else 0
+    if g:
+        prods = np.empty((g, k, r, m, w), dtype)
+        for a in range(0, k, g):
+            prod = np.matmul(taps[a:a + g, :, None], win[a:a + g], out=prods[:min(g, k - a)])
+            for tap in prod.reshape(-1, r, m, w):            # (ky, kx) order
+                acc += tap
+        return acc.transpose(1, 0, 2)
+    tmp = np.empty_like(acc)
     for t, sl in enumerate(tap_maps or (None,) * (k * k)):
         ky, kx = divmod(t, k)
         sl = slice(None) if sl is None else sl
         wt = taps[ky, kx, sl]
         if len(wt):
             prod = tmp[:, :len(wt)]
-            np.matmul(wt, rows[ky:ky + r, :, kx:kx + w], out=prod)
+            np.matmul(wt, win[ky, kx], out=prod)
             acc[:, sl] += prod
     return acc.transpose(1, 0, 2)
 

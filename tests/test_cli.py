@@ -219,13 +219,14 @@ class TestExitCodes:
         ["verify-tdc", "--trials", "0"],
         ["verify-tdc", "--trials", "-1"],
         ["verify-tdc", "--stride", "3"],
+        ["verify-tdc", "--seed", "-1"],
         ["schedule", "--kd", "5", "--stride", "2", "--pes", "0"],
         ["schedule", "--kd", "-3", "--stride", "2"],
         ["cycles", "--model", "custom", "--m", "1", "--n", "1", "--hin", "4", "--win", "0",
          "--kd", "5", "--stride", "2", "--tm", "1", "--tn", "1"],
         ["cycles", "--model", "dcgan", "--m", "3"],
     ], ids=["kd_0", "kd_negative", "trials_0", "trials_negative", "stride_without_kd",
-            "pes_0", "schedule_kd_negative", "win_0", "layer_flag_with_preset"])
+            "seed_negative", "pes_0", "schedule_kd_negative", "win_0", "layer_flag_with_preset"])
     def test_bad_count_flags(self, capsys, argv):
         # accepted and ignored, or a numpy traceback with exit 1, before
         assert main(argv) == 2

@@ -2,9 +2,10 @@
 its float64 and its int64 contraction, with slopes on both sides of 1)
 against an independent sliding-window reference (dense and skipping zero
 maps), the float PReLU against its oracle, the kernel's float rows against
-one-row blocks, the transform against the canvas oracle, the DCLP simulator
-against faulty schedules, streaming against batch inference, and the
-weight-file and PNM round trips."""
+one-row blocks and against other batchings of its per-tap gemms, the
+transform against the canvas oracle, the DCLP simulator against faulty
+schedules, streaming against batch inference, and the weight-file and PNM
+round trips."""
 import dataclasses
 import json
 import math
@@ -135,6 +136,28 @@ def test_conv_taps_rows_independent(case):
         one = padded[:, i:i + k]
         assert np.array_equal(got[:, i:i + 1], conv_taps(one, weights, bias, plan))
         assert np.array_equal(got[:, i:i + 1], conv_taps(one.copy(), weights, bias, plan))
+
+
+@settings(max_examples=120, deadline=None)
+@given(float_row_blocks(), st.sampled_from([np.float64, np.int64]))
+def test_conv_taps_grouping_changes_nothing(case, dtype):
+    # one matmul call per tap, or g whole kernel rows per call up to the whole
+    # kernel: every (tap, row) gemm and every tap's addition stay the same, so
+    # no bit moves, dense (tap_maps None) or with the drawn tap plan
+    padded, weights, bias = case
+    if dtype == np.int64:
+        padded, weights, bias = (np.rint(a * 64).astype(np.int64) for a in case)
+    m, n, k, _ = weights.shape
+    r, w = padded.shape[1] - (k - 1), padded.shape[2] - (k - 1)
+    for plan in (None, tap_map_runs(weights)):
+        got = []
+        with pytest.MonkeyPatch.context() as mp:
+            for g in range(k + 1):              # products of g kernel rows per call
+                mp.setattr(reference, "_GROUP_BYTES", g * k * r * m * w * 8)
+                got.append(conv_taps(padded, weights, bias, plan))
+        assert got[0].dtype == dtype
+        assert all(_same_bits(a, got[0]) for a in got[1:])
+        assert _same_bits(conv_taps(padded, weights, bias, plan), got[0])
 
 
 _SLOPES = [-1.5, -0.25, 0.0, 0.25, 1.0, 1.5, 3.0]
