@@ -143,21 +143,21 @@ def test_conv_taps_rows_independent(case):
 def test_conv_taps_grouping_changes_nothing(case, dtype):
     # one matmul call per tap, or g whole kernel rows per call up to the whole
     # kernel: every (tap, row) gemm and every tap's addition stay the same, so
-    # no bit moves, dense (tap_maps None) or with the drawn tap plan
+    # no bit moves. Grouping applies to dense layers (tap_maps None) only
     padded, weights, bias = case
     if dtype == np.int64:
         padded, weights, bias = (np.rint(a * 64).astype(np.int64) for a in case)
+    padded = padded.copy()                      # contiguous, as the library's blocks are
     m, n, k, _ = weights.shape
     r, w = padded.shape[1] - (k - 1), padded.shape[2] - (k - 1)
-    for plan in (None, tap_map_runs(weights)):
-        got = []
-        with pytest.MonkeyPatch.context() as mp:
-            for g in range(k + 1):              # products of g kernel rows per call
-                mp.setattr(reference, "_GROUP_BYTES", g * k * r * m * w * 8)
-                got.append(conv_taps(padded, weights, bias, plan))
-        assert got[0].dtype == dtype
-        assert all(_same_bits(a, got[0]) for a in got[1:])
-        assert _same_bits(conv_taps(padded, weights, bias, plan), got[0])
+    got = []
+    with pytest.MonkeyPatch.context() as mp:
+        for g in range(k + 1):                  # products of g kernel rows per call
+            mp.setattr(reference, "_GROUP_BYTES", g * k * r * m * w * 8)
+            got.append(conv_taps(padded, weights, bias))
+    assert got[0].dtype == dtype
+    assert all(_same_bits(a, got[0]) for a in got[1:])
+    assert _same_bits(conv_taps(padded, weights, bias), got[0])
 
 
 _SLOPES = [-1.5, -0.25, 0.0, 0.25, 1.0, 1.5, 3.0]
