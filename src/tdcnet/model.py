@@ -8,7 +8,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -79,6 +79,40 @@ def tap_map_runs(weights: np.ndarray) -> Optional[tuple[Optional[slice], ...]]:
     return tuple(runs)
 
 
+class ConvOperands(NamedTuple):
+    """A layer's weights and bias in the layout `reference.conv_taps` reads,
+    in one dtype: `weights` stacked (M, N*K*K), in (n, ky, kx) order, where
+    K = 1 or N*K*K <= M, else tap-major (K, K, M, N); `bias` as an (M, 1)
+    column; `tap_maps` the layer's tap_map_runs."""
+
+    kernel: int
+    weights: np.ndarray
+    bias: np.ndarray
+    tap_maps: Optional[tuple[Optional[slice], ...]]
+
+
+def conv_operands(weights, bias, tap_maps=None, dtype=None) -> ConvOperands:
+    """(M, N, K, K) weights and (M,) bias as read-only ConvOperands in `dtype`
+    (the weights' when None), the weights C-contiguous, as the gemms read
+    their tap matrices fastest. Build them once per layer: every conv_taps
+    call reads them as they are."""
+    weights = np.asarray(weights)
+    m, n, k, _ = weights.shape
+    w = weights.reshape(m, -1) if k == 1 or n * k * k <= m else weights.transpose(2, 3, 0, 1)
+    w = np.ascontiguousarray(w, weights.dtype if dtype is None else dtype)
+    b = np.asarray(bias, w.dtype).reshape(m, 1)
+    w.flags.writeable = b.flags.writeable = False
+    return ConvOperands(k, w, b, tap_maps)
+
+
+def steep_maps(slopes) -> Optional[np.ndarray]:
+    """Mask of the maps whose PReLU slope is above 1, or None where none is."""
+    if slopes is None:
+        return None
+    steep = np.asarray(slopes) > 1
+    return steep if steep.any() else None
+
+
 def same_padding(kernel: int) -> tuple[int, int]:
     """(pad_before, pad_after) preserving spatial size for stride-1 convolution."""
     if kernel % 2 == 1:
@@ -128,6 +162,16 @@ class ConvLayerSpec:
     def tap_maps(self) -> Optional[tuple[Optional[slice], ...]]:
         """tap_map_runs of the weights, built once per layer."""
         return tap_map_runs(self.weights)
+
+    @cached_property
+    def operands(self) -> ConvOperands:
+        """conv_operands of the weights, bias and tap_maps, built once per layer."""
+        return conv_operands(self.weights, self.bias, self.tap_maps)
+
+    @cached_property
+    def steep(self) -> Optional[np.ndarray]:
+        """steep_maps of the PReLU slopes, built once per layer."""
+        return steep_maps(self.prelu_slope)
 
 
 def conv_layer(kernel, out_maps, in_maps, weights, bias=None, prelu_slope=None) -> ConvLayerSpec:
@@ -187,6 +231,13 @@ class NetworkSpec:
         for i, layer in enumerate(layers):
             if isinstance(layer, DeconvLayerSpec) and i != len(layers) - 1:
                 raise ConfigurationError("deconv layer must be the last layer")
+
+    @cached_property
+    def _chains(self) -> dict:
+        """The executor's constants, compiled from this network on first use
+        (`quant._inference_convs`, `quant._quantized`): one float chain and at
+        most one fixed-point chain, replaced when the formats change."""
+        return {}
 
     @property
     def layer_count(self) -> int:

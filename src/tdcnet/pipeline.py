@@ -26,7 +26,7 @@ import numpy as np
 from .dataflow import plan_dataflow
 from .errors import ConfigurationError, DimensionError
 from .model import NetworkSpec
-from .quant import QFormat, _forward, _layers, _rint_codes, quantize_network
+from .quant import QFormat, _forward, _layers, _quantized, _rint_codes
 from .reference import (_bicubic_planes, _luma, _rows_within, _taps_window, _ycbcr_into_rgb,
                         rgb_to_ycbcr)
 
@@ -77,7 +77,7 @@ def _infer(image, net: NetworkSpec, scale: int, mode: str, q_weights: Optional[Q
         layers, lsb, norm = _layers(net), None, lambda t: t / 255.0
     else:
         qa = q_activations or _Q13
-        layers = _layers(None, quantize_network(net, q_weights or _Q13, qa))
+        layers = _layers(None, _quantized(net, q_weights or _Q13, qa))
         lsb, norm = qa.step, lambda t: _rint_codes(t / 255.0, qa)
     rgb = img.ndim == 3
     out = np.empty((img.shape[0] * scale, img.shape[1] * scale) + img.shape[2:], np.uint8)

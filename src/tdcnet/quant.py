@@ -21,7 +21,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError
-from .model import ConvLayerSpec, DeconvLayerSpec, NetworkSpec, Tensor3
+from .model import (ConvLayerSpec, ConvOperands, DeconvLayerSpec, NetworkSpec, Tensor3,
+                    conv_operands, steep_maps)
 from .reference import (_TILE_PIXELS, _prelu_into, _rows_within, conv_rows, conv_taps,
                         depth_to_space_array, psnr)
 from .tdc import transform_weights
@@ -119,6 +120,16 @@ class QuantizedLayer:
         p = 0 if self.prelu_raw is None else int(np.abs(self.prelu_raw).max())
         return int(l1.max()), int(np.abs(self.bias_raw).max()), p
 
+    @cached_property
+    def operands(self) -> ConvOperands:
+        """The codes as float64 conv_operands, cast once per layer."""
+        return conv_operands(self.weights_raw, self.bias_raw, self.spec.tap_maps, np.float64)
+
+    @cached_property
+    def int_operands(self) -> ConvOperands:
+        """The codes as int64 conv_operands, for sums that may pass 2**53."""
+        return conv_operands(self.weights_raw, self.bias_raw, self.spec.tap_maps, np.int64)
+
 
 @dataclass(frozen=True)
 class QuantizedNetwork:
@@ -126,17 +137,42 @@ class QuantizedNetwork:
     q_weights: QFormat
     q_activations: QFormat
 
+    @cached_property
+    def _epilogues(self) -> tuple[tuple, ...]:
+        """What quantized_conv_rows needs of each layer beyond its operands, in
+        these formats, built once per network: the float64 (M, 1, 1) slopes
+        prelu_raw * 2**-frac_bits (or None), their steep_maps, and whether its
+        bound keeps PReLU and rounding, and the sums, exact in float64."""
+        bits, ta = self.q_weights.frac_bits, self.q_activations.total_bits
+        epilogues = []
+        for q in self.layers:
+            l1, b, p = q.abs_bounds
+            bound = (l1 << (ta - 1)) + b
+            slopes = None if q.prelu_raw is None else q.prelu_raw * 2.0 ** -bits
+            epilogues.append((None if slopes is None else slopes[:, None, None],
+                              steep_maps(slopes), bound * max(p, 1) < 1 << 53, bound < 1 << 53))
+        return tuple(epilogues)
 
-def _inference_convs(net: NetworkSpec) -> list[tuple[ConvLayerSpec, int]]:
-    """The network as a pure conv chain: (conv spec, depth-to-space scale)."""
-    rows: list[tuple[ConvLayerSpec, int]] = []
-    for layer in net.layers:
-        if isinstance(layer, DeconvLayerSpec):
-            conv, _ = transform_weights(layer)
-            rows.append((conv, layer.scale))
-        else:
-            rows.append((layer, 0))
-    return rows
+
+def _inference_convs(net: NetworkSpec) -> tuple[tuple[ConvLayerSpec, int], ...]:
+    """The network as a pure conv chain, (conv spec, depth-to-space scale) per
+    layer: its float chain, the deconv transformed once per network."""
+    chains = net._chains
+    if "float" not in chains:
+        chains["float"] = tuple((transform_weights(layer)[0], layer.scale)
+                                if isinstance(layer, DeconvLayerSpec) else (layer, 0)
+                                for layer in net.layers)
+    return chains["float"]
+
+
+def _quantized(net: NetworkSpec, q_weights: QFormat, q_activations: QFormat) -> QuantizedNetwork:
+    """The network's fixed-point chain in these formats, quantized once: a
+    call in other formats replaces it. Threads that miss at once each
+    quantize and the slot keeps one; each call runs on the chain it got."""
+    qnet = net._chains.get("fixed")
+    if qnet is None or (qnet.q_weights, qnet.q_activations) != (q_weights, q_activations):
+        qnet = net._chains["fixed"] = quantize_network(net, q_weights, q_activations)
+    return qnet
 
 
 def quantize_network(net: NetworkSpec, q_weights: QFormat,
@@ -157,7 +193,8 @@ def quantize_network(net: NetworkSpec, q_weights: QFormat,
 
 def quantized_conv_rows(qlayer: QuantizedLayer, padded: np.ndarray,
                         qnet: QuantizedNetwork) -> np.ndarray:
-    """Integer conv over a horizontally+vertically padded raw input block.
+    """Integer conv over a horizontally+vertically padded raw input block,
+    for `qlayer`, one of `qnet.layers`.
 
     `padded` is (N, R + K - 1, W + K - 1) codes of the activation format, held
     in int64 or float64 (the layer executor builds float64 blocks); returns
@@ -178,28 +215,28 @@ def quantized_conv_rows(qlayer: QuantizedLayer, padded: np.ndarray,
     slower on int64. Where the bound reaches 2**53 (wide formats) the block
     runs again through conv_taps on int64 codes, after the float64 sums, as
     an estimate, show none reaches 2**62, as int64 sums could wrap past it.
-    Both paths take PReLU from _prelu_into and saturate into the result.
+    Both paths take PReLU from _prelu_into and saturate into the result. The
+    operands, slopes and regime come from the layer and its network, built
+    once for each (QuantizedLayer.operands, QuantizedNetwork._epilogues).
     """
     bits, qa = qnet.q_weights.frac_bits, qnet.q_activations
-    l1, b, p = qlayer.abs_bounds
-    bound = (l1 << (qa.total_bits - 1)) + b
-    conv = qlayer.weights_raw, qlayer.bias_raw, qlayer.spec.tap_maps
-    acc = sums = conv_taps(np.asarray(padded, dtype=np.float64), *conv)
-    slopes = None if qlayer.prelu_raw is None else qlayer.prelu_raw * 2.0 ** -bits
-    if bound * max(p, 1) < 1 << 53:
+    slopes, steep, rint, exact = next(e for q, e in zip(qnet.layers, qnet._epilogues)
+                                      if q is qlayer)
+    acc = sums = conv_taps(np.asarray(padded, dtype=np.float64), qlayer.operands)
+    if rint:
         if slopes is not None:
-            _prelu_into(sums, slopes, lambda v: np.rint(cv := v * slopes[:, None, None], out=cv))
+            _prelu_into(sums, steep, lambda v: np.rint(cv := v * slopes, out=cv))
         sums *= 2.0 ** -bits
         np.rint(sums, out=sums)
     else:
-        if bound < 1 << 53:
+        if exact:
             acc = sums.astype(np.int64)
         elif max(-sums.min(), sums.max()) >= 2.0 ** 62:
             raise ConfigurationError(
                 f"fixed-point sums reach 2**62 in a layer at weights {qnet.q_weights}, "
                 f"activations {qa}; int64 accumulation could wrap")
         else:
-            acc = conv_taps(np.asarray(padded, dtype=np.int64), *conv)
+            acc = conv_taps(np.asarray(padded, dtype=np.int64), qlayer.int_operands)
         odd = np.empty(acc.shape, dtype=np.int8)
         if slopes is not None:
             slope = qlayer.prelu_raw[:, None, None]
@@ -216,7 +253,7 @@ def quantized_conv_rows(qlayer: QuantizedLayer, padded: np.ndarray,
                 sv += (hi & 1) << bits
                 _rshift_half_even_into(sv, bits, odd)
                 return sv + (hi & -2)
-            _prelu_into(acc, slopes, product)
+            _prelu_into(acc, steep, product)
         _rshift_half_even_into(acc, bits, odd)
     return np.clip(acc, qa.min_raw, qa.max_raw, out=sums)
 
@@ -267,7 +304,8 @@ class _Layer:
 
 
 def _layers(net: Optional[NetworkSpec], qnet: Optional[QuantizedNetwork] = None) -> list[_Layer]:
-    """Executor layers of the float chain of `net`, or of the fixed chain of `qnet`."""
+    """Fresh executor layers, each with its own line buffer, over the compiled
+    float chain of `net` or over the fixed chain of `qnet`."""
     if qnet is not None:
         return [_Layer(q.spec, lambda b, q=q: quantized_conv_rows(q, b, qnet), q.depth_to_space)
                 for q in qnet.layers]

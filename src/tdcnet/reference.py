@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionError
-from .model import ConvLayerSpec, DeconvLayerSpec, Tensor3
+from .model import ConvLayerSpec, ConvOperands, DeconvLayerSpec, Tensor3
 
 _TILE_PIXELS = 3072       # batch row tile, in input pixels: 32 rows of a 96-wide plane
 _SCRATCH_BYTES = 32 * 8 * _TILE_PIXELS    # any one per-push temporary: 32 float64 maps of a tile
@@ -42,22 +42,23 @@ def _tap_windows(padded: np.ndarray, k: int) -> np.ndarray:
     return np.ndarray(shape, padded.dtype, padded, 0, strides)
 
 
-def conv_taps(padded: np.ndarray, weights: np.ndarray, bias: np.ndarray,
-              tap_maps: Optional[tuple[Optional[slice], ...]] = None) -> np.ndarray:
+def conv_taps(padded: np.ndarray, ops: ConvOperands) -> np.ndarray:
     """Bias plus the valid stride-1 convolution of a padded block: the one conv
     kernel of every float and fixed-point layer.
 
-    `padded` is (N, R + K - 1, W + K - 1) and `weights` (M, N, K, K); returns
-    the (M, R, W) sums in their common dtype (float64 or int64), as a view of
-    an (R, M, W) buffer. Each output row is contracted by matmuls of one fixed
-    shape: where K = 1 or N*K*K <= M, one (M, N*K*K) x (N*K*K, W) product over
+    `padded` is (N, R + K - 1, W + K - 1) and `ops` the layer's (M, N, K, K)
+    weights and bias as model.conv_operands lays them out, built once per
+    layer; returns the (M, R, W) sums in the common dtype of the block and the
+    operands (float64 or int64), as a view of an (R, M, W) buffer. Each output
+    row is contracted by matmuls of one fixed shape: where the operands are
+    stacked (K = 1 or N*K*K <= M), one (M, N*K*K) x (N*K*K, W) product over
     the row's stacked tap windows (for K = 1 the row itself); otherwise, per
     tap (ky, kx) in order, one (M_t, N) x (N, W) product over the maps
-    `tap_maps[ky * K + kx]` selects (all M where it or `tap_maps` is None),
-    added into the row's sums. A row's arithmetic thus depends on (M, N, K, W)
-    and the tap plan, never on R or on where the block lies, so a one-row
-    block and a whole plane agree bit for bit as long as the BLAS gives a
-    gemm of fixed shape the same bits wherever its operands sit
+    `ops.tap_maps[ky * K + kx]` selects (all M where it or `tap_maps` is
+    None), added into the row's sums. A row's arithmetic thus depends on
+    (M, N, K, W) and the tap plan, never on R or on where the block lies, so a
+    one-row block and a whole plane agree bit for bit as long as the BLAS
+    gives a gemm of fixed shape the same bits wherever its operands sit
     (test_conv_taps_rows_independent). int64 runs numpy's exact integer
     matmul. Skipping only maps whose weights at that tap are all zero leaves
     every sample unchanged as long as the input is finite.
@@ -72,23 +73,21 @@ def conv_taps(padded: np.ndarray, weights: np.ndarray, bias: np.ndarray,
     group in one reduction would, as numpy sums pairwise.) Other layers, and
     blocks too tall for the bound, make one matmul call per tap.
     """
-    m, n, k, _ = weights.shape
+    k, taps, bias, tap_maps = ops
+    m = bias.shape[0]
     r, w = padded.shape[1] - (k - 1), padded.shape[2] - (k - 1)
-    dtype = np.result_type(padded, weights)
-    acc = np.empty((r, m, w), dtype=dtype)
-    if k == 1 or n * k * k <= m:
+    acc = np.empty((r, m, w), dtype=np.result_type(padded, taps))
+    if taps.ndim == 2:                                       # stacked
         stack = padded.transpose(1, 0, 2) if k == 1 else (     # (R, N*K*K, W)
             _tap_windows(padded, k).transpose(2, 3, 0, 1, 4).reshape(r, -1, w))
-        stacked = weights.reshape(m, -1).astype(dtype, copy=False)   # (n, ky, kx) order
-        np.matmul(stacked, stack, out=acc)
-        acc += bias[:, None]
+        np.matmul(taps, stack, out=acc)
+        acc += bias
         return acc.transpose(1, 0, 2)
-    acc[...] = bias[:, None]
+    acc[...] = bias
     win = _tap_windows(padded, k)
-    taps = np.ascontiguousarray(weights.transpose(2, 3, 0, 1), dtype=dtype)   # (K, K, M, N)
     g = min(k, _GROUP_BYTES // (k * acc.nbytes)) if tap_maps is None and acc.size else 0
     if g:
-        prods = np.empty((g, k, r, m, w), dtype)
+        prods = np.empty((g, k, r, m, w), acc.dtype)
         for a in range(0, k, g):
             prod = np.matmul(taps[a:a + g, :, None], win[a:a + g], out=prods[:min(g, k - a)])
             for tap in prod.reshape(-1, r, m, w):            # (ky, kx) order
@@ -106,26 +105,26 @@ def conv_taps(padded: np.ndarray, weights: np.ndarray, bias: np.ndarray,
     return acc.transpose(1, 0, 2)
 
 
-def _prelu_into(v: np.ndarray, slopes: np.ndarray, product) -> None:
+def _prelu_into(v: np.ndarray, steep: Optional[np.ndarray], product) -> None:
     """PReLU in place on (M, R, W) sums, for float and fixed point: max(v, s * v)
     where s <= 1, and where s > 1 min(v, s * v), the max on rows negated before
-    and after. `product(v)` gives slope * v per map for the M `slopes`, plain in
+    and after. `steep` is the layer's model.steep_maps mask of the maps whose
+    slope is above 1, or None; `product(v)` gives slope * v per map, plain in
     float, rounded half to even in fixed point."""
-    steep = slopes > 1
-    flip = steep.any()
-    if flip:
+    if steep is not None:
         v[steep] *= -1
     np.maximum(v, product(v), out=v)
-    if flip:
+    if steep is not None:
         v[steep] *= -1
 
 
 def conv_rows(padded: np.ndarray, layer: ConvLayerSpec) -> np.ndarray:
-    """One float layer over a padded block: conv_taps, then PReLU in place."""
-    out = conv_taps(padded, layer.weights, layer.bias, layer.tap_maps)
+    """One float layer over a padded block: conv_taps on the layer's operands,
+    then PReLU in place."""
+    out = conv_taps(padded, layer.operands)
     s = layer.prelu_slope
     if s is not None:
-        _prelu_into(out, s, lambda v: v * s[:, None, None])
+        _prelu_into(out, layer.steep, lambda v: v * s[:, None, None])
     return out
 
 

@@ -15,7 +15,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConfigurationError, ScheduleMismatchError
-from .model import ConvLayerSpec, DeconvLayerSpec, Tensor3, tap_map_runs
+from .model import ConvLayerSpec, DeconvLayerSpec, Tensor3, conv_operands, tap_map_runs
 from .reference import conv_taps
 from .tdc import TdcGeometry, derive_geometry, transform_weights
 
@@ -135,7 +135,7 @@ def simulate_dclp(x: Tensor3, schedule: LayerSchedule, geometry: TdcGeometry,
     filters = np.bincount(index, t["weight"], conv.weights.size).reshape(conv.weights.shape)
     padded = np.zeros((n_in, h + k - 1, w + k - 1))
     padded[:, pb:pb + h, pb:pb + w] = x.data
-    out = conv_taps(padded, filters, conv.bias, tap_map_runs(filters))
+    out = conv_taps(padded, conv_operands(filters, conv.bias, tap_map_runs(filters)))
     cycles = _cycles(conv.out_maps, schedule.pe_count, schedule.in_maps, in_tile,
                      h, w, schedule.depth)
     return Tensor3(out), cycles

@@ -339,3 +339,85 @@ class TestScratchBudget:
         img = np.random.default_rng(4).integers(0, 256, (96, 96, 3), dtype=np.uint8)
         _, peak = self._peak(lambda: infer(img, ws.network(4), 4, mode))
         assert peak < 2.6 * 2 ** 20
+
+
+class TestCompiledChains:
+    """Each network keeps its transformed float chain and one fixed-point
+    chain, built on first use; per-call state (line buffers) stays per call."""
+
+    FORMATS = [("float", None), ("fixed", Q13), ("fixed", QFormat(32, 28)), ("fixed", Q13)]
+
+    @staticmethod
+    def _doc():
+        return random_weight_doc(np.random.default_rng(11), x=6, y=3, z=2, kd=7, scales=(3,))
+
+    @staticmethod
+    def _run(f, img, net, mode, q):
+        kw = {} if q is None else {"q_weights": q, "q_activations": q}
+        return f(img, net, 3, mode, **kw)
+
+    def test_second_call_compiles_nothing(self, monkeypatch, rng):
+        calls = {"transform_weights": 0, "quantize_network": 0}
+        for name in calls:
+            fn = getattr(quant, name)
+            monkeypatch.setattr(quant, name, lambda *a, fn=fn, name=name: (
+                calls.__setitem__(name, calls[name] + 1) or fn(*a)))
+        net = parse_weights(self._doc()).network(3)
+        img = rng.integers(0, 256, (5, 7, 3)).astype(np.uint8)
+        for f in (infer, infer_streaming):
+            for mode in ("float", "fixed"):
+                f(img, net, 3, mode)
+        assert calls == {"transform_weights": 1, "quantize_network": 1}
+        for f in (infer, infer_streaming):
+            for mode in ("float", "fixed"):
+                f(img, net, 3, mode)
+        assert calls == {"transform_weights": 1, "quantize_network": 1}
+
+    @pytest.mark.parametrize("f", [infer, infer_streaming])
+    def test_cache_hits_equal_a_fresh_network(self, rng, f):
+        # Q13 -> Q32.28 -> Q13 replaces the fixed chain twice on one network
+        doc = self._doc()
+        net = parse_weights(doc).network(3)
+        img = rng.integers(0, 256, (6, 5, 3)).astype(np.uint8)
+        for mode, q in self.FORMATS:
+            fresh = self._run(f, img, parse_weights(doc).network(3), mode, q)
+            for _ in range(2):                  # cache fill, then cache hit
+                assert np.array_equal(self._run(f, img, net, mode, q), fresh)
+            if q is not None:
+                assert net._chains["fixed"].q_activations == q
+
+    def test_sweep_keeps_one_fixed_chain(self, rng):
+        net = parse_weights(self._doc()).network(3)
+        imgs = [rng.integers(0, 256, (4, 5, 3)).astype(np.uint8)]
+        quant.sweep_bitwidth(net, imgs, range(8, 17), 3)
+        assert sorted(net._chains) == ["fixed", "float"]
+        assert net._chains["fixed"].q_weights == QFormat(16, 12)
+
+    def test_two_threads_stream_one_network(self, rng):
+        # both threads fill and replace the fixed chain while the other runs on it
+        import sys
+        import threading
+        doc = self._doc()
+        imgs = [rng.integers(0, 256, (4, 6, 3)).astype(np.uint8) for _ in range(2)]
+        want = [[self._run(infer_streaming, img, parse_weights(doc).network(3), *fmt)
+                 for fmt in self.FORMATS] for img in imgs]
+        net = parse_weights(doc).network(3)
+        start, got = threading.Barrier(2, timeout=60), [None, None]
+
+        def stream(i):
+            start.wait()
+            got[i] = [self._run(infer_streaming, imgs[i], net, *fmt) for fmt in self.FORMATS]
+
+        threads = [threading.Thread(target=stream, args=(i,)) for i in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for g, w in zip(got, want):
+            assert g is not None and all(np.array_equal(a, b) for a, b in zip(g, w))

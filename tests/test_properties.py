@@ -23,7 +23,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from tdcnet import quant, reference
 from tdcnet.imageio import read_image, write_image
 from tdcnet.model import (DeconvLayerSpec, FsrcnnConfig, Tensor3, WeightSet, _conv_shapes,
-                          conv_layer, parse_weights, save_weights, tap_map_runs)
+                          conv_layer, conv_operands, parse_weights, save_weights,
+                          tap_map_runs)
 from tdcnet.pipeline import infer, infer_streaming
 from tdcnet.quant import (QFormat, QuantizedLayer, QuantizedNetwork,
                           _rshift_half_even_into, quantize_array, quantize_value,
@@ -58,7 +59,7 @@ def conv_blocks(draw):
 def test_conv_taps_matches_windows(block, dtype):
     # integer-valued data keeps float sums exact in any order
     padded, weights, bias = (a.astype(dtype) for a in block)
-    got = conv_taps(padded, weights, bias)
+    got = conv_taps(padded, conv_operands(weights, bias))
     assert got.dtype == dtype
     assert np.array_equal(got, conv_windows(padded, weights, bias))
 
@@ -96,7 +97,7 @@ def test_conv_taps_skips_zero_maps(block, dtype, kinds, seed):
         assert not (live[:, t] & ~picked).any()        # never skips a live map
         if sl is not None:
             assert np.array_equal(picked, live[:, t])  # a run is exactly the live maps
-    got = conv_taps(padded, weights, bias, plan)
+    got = conv_taps(padded, conv_operands(weights, bias, plan))
     assert got.dtype == dtype
     assert np.array_equal(got, conv_windows(padded, weights, bias))
 
@@ -130,12 +131,12 @@ def test_conv_taps_rows_independent(case):
     # operands lie, so an R-row block equals its one-row slices bit for bit
     padded, weights, bias = case
     k = weights.shape[2]
-    plan = tap_map_runs(weights)
-    got = conv_taps(padded, weights, bias, plan)
+    ops = conv_operands(weights, bias, tap_map_runs(weights))
+    got = conv_taps(padded, ops)
     for i in range(got.shape[1]):
         one = padded[:, i:i + k]
-        assert np.array_equal(got[:, i:i + 1], conv_taps(one, weights, bias, plan))
-        assert np.array_equal(got[:, i:i + 1], conv_taps(one.copy(), weights, bias, plan))
+        assert np.array_equal(got[:, i:i + 1], conv_taps(one, ops))
+        assert np.array_equal(got[:, i:i + 1], conv_taps(one.copy(), ops))
 
 
 @settings(max_examples=120, deadline=None)
@@ -150,14 +151,14 @@ def test_conv_taps_grouping_changes_nothing(case, dtype):
     padded = padded.copy()                      # contiguous, as the library's blocks are
     m, n, k, _ = weights.shape
     r, w = padded.shape[1] - (k - 1), padded.shape[2] - (k - 1)
-    got = []
+    ops, got = conv_operands(weights, bias), []
     with pytest.MonkeyPatch.context() as mp:
         for g in range(k + 1):                  # products of g kernel rows per call
             mp.setattr(reference, "_GROUP_BYTES", g * k * r * m * w * 8)
-            got.append(conv_taps(padded, weights, bias))
+            got.append(conv_taps(padded, ops))
     assert got[0].dtype == dtype
     assert all(_same_bits(a, got[0]) for a in got[1:])
-    assert _same_bits(conv_taps(padded, weights, bias), got[0])
+    assert _same_bits(conv_taps(padded, ops), got[0])
 
 
 _SLOPES = [-1.5, -0.25, 0.0, 0.25, 1.0, 1.5, 3.0]
@@ -186,7 +187,7 @@ def prelu_layers(draw):
 def test_conv_rows_prelu_matches_oracle(case):
     # slopes above 1 take the min of v and s * v, the others the max
     layer, padded = case
-    sums = conv_taps(padded, layer.weights, layer.bias, layer.tap_maps)
+    sums = conv_taps(padded, layer.operands)
     want = prelu(Tensor3(sums), layer.prelu_slope).data
     assert np.array_equal(conv_rows(padded, layer), want)
 
