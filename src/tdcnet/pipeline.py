@@ -27,8 +27,8 @@ from .dataflow import plan_dataflow
 from .errors import ConfigurationError, DimensionError
 from .model import NetworkSpec
 from .quant import QFormat, _forward, _layers, _quantized, _rint_codes
-from .reference import (_bicubic_planes, _luma, _rows_within, _taps_window, _ycbcr_into_rgb,
-                        rgb_to_ycbcr)
+from .reference import (_bicubic_planes, _bicubic_weights, _cbcr, _luma,
+                        _rows_within, _studio_luma, _taps_window, _ycbcr_into_rgb)
 
 _Q13 = QFormat(13, 9)       # default weight and activation format
 
@@ -45,14 +45,15 @@ class StreamStats:
     peak_samples: dict[int, int] = field(default_factory=dict)
 
 
-def _chroma_into(img: np.ndarray, scale: int, out: np.ndarray, r0: int, r1: int) -> None:
+def _chroma_into(img: np.ndarray, weights: tuple[np.ndarray, np.ndarray], out: np.ndarray,
+                 r0: int, r1: int) -> None:
     """Convert high-resolution rows r0..r1 - 1 of `out` to RGB, their G plane
     holding the finished luma, with Cb/Cr upscaled from just the input rows
-    their taps read."""
-    lr = _taps_window(r0 // scale, r1 // scale, img.shape[0])
-    _, cb, cr = rgb_to_ycbcr(img[lr])
-    cb, cr = _bicubic_planes(np.stack((cb, cr)), scale, (r0, r1))
-    _ycbcr_into_rgb(out[r0:r1, :, 1].astype(np.float64), cb, cr, out[r0:r1])
+    their taps read; `weights` are the call's _bicubic_weights."""
+    scale = weights[0].shape[1]
+    rgb = img[_taps_window(r0 // scale, r1 // scale, img.shape[0])].astype(np.float64)
+    cbcr = _bicubic_planes(_cbcr(rgb, _luma(rgb)), weights, (r0, r1))
+    _ycbcr_into_rgb(out[r0:r1, :, 1].astype(np.float64), cbcr, out[r0:r1])
 
 
 def _infer(image, net: NetworkSpec, scale: int, mode: str, q_weights: Optional[QFormat],
@@ -82,7 +83,7 @@ def _infer(image, net: NetworkSpec, scale: int, mode: str, q_weights: Optional[Q
     rgb = img.ndim == 3
     out = np.empty((img.shape[0] * scale, img.shape[1] * scale) + img.shape[2:], np.uint8)
     luma = out[..., 1] if rgb else out        # G holds each luma row until its band converts
-    prep = (lambda t: norm(_luma(t[0].astype(np.float64))[1])[None]) if rgb else norm
+    prep = (lambda t: norm(_studio_luma(_luma(t[0].astype(np.float64))))[None]) if rgb else norm
     done = 0
     for block in _forward(layers, img[None], rows, prep=prep):
         y = block[0]
@@ -92,8 +93,9 @@ def _infer(image, net: NetworkSpec, scale: int, mode: str, q_weights: Optional[Q
         del block, y                           # before the executor runs the next push
     if rgb:     # a band's float64 Y, Cb and Cr within the budget, of at least 4 input rows
         band = scale * max(4, _rows_within(24 * img.shape[1] * scale ** 2))
+        weights = _bicubic_weights(*img.shape[:2], scale)
         for r0 in range(0, done, band):
-            _chroma_into(img, scale, out, r0, min(r0 + band, done))
+            _chroma_into(img, weights, out, r0, min(r0 + band, done))
     return out
 
 

@@ -223,77 +223,112 @@ def _taps_window(lo: int, hi: int, n: int) -> np.ndarray:
     return np.clip(np.arange(lo - 2, hi + 2), 0, n - 1)
 
 
-def _polyphase_axis(window: np.ndarray, scale: int, axis: int, first: int) -> np.ndarray:
-    """All `scale` phases, along `axis`, of the samples whose taps read
-    `window`, which holds them and two more beyond each end (a _taps_window);
-    output sample 0 is sample `first`, a multiple of scale, of the whole
-    upscaled axis.
-
-    Output sample d sits at src = (d + 0.5) / scale - 0.5 and sums, in tap
-    order t = -1..2, _cubic_kernel(src - (base + t)) times the sample at
-    base + t, base = floor(src). Since base[scale * i + p] == i + base[p],
-    phase p reads shifted slices of the window.
-    """
-    n = window.shape[axis] - 4
-    src = (np.arange(first, first + n * scale) + 0.5) / scale - 0.5  # half-pixel centres
-    base = np.floor(src)
-    # per tap, the weight of every output sample as (n, scale), along the axis
-    taps = np.arange(-1, 3)[:, None]
-    wgts = _cubic_kernel(src - (base + taps)).reshape((4, n, scale) + (1,) * (2 - axis))
-    shape = window.shape[:axis] + (n,) + window.shape[axis + 1:]
-    out = np.empty(shape[:axis + 1] + (scale,) + shape[axis + 1:])
-    acc, tmp = np.empty(shape), np.empty(shape)
-    lead = (slice(None),) * axis
-    for p in range(scale):
-        for t, wgt in enumerate(wgts):               # taps -1..2
-            start = int(base[p]) - first // scale + t + 1
-            part = window[lead + (slice(start, start + n),)]
-            if t == 0:
-                np.multiply(part, wgt[:, p], out=acc)
-            else:
-                acc += np.multiply(part, wgt[:, p], out=tmp)
-        out[lead + (slice(None), p)] = acc
-    return out.reshape(shape[:axis] + (n * scale,) + shape[axis + 1:])
+def _phase_weights(n: int, scale: int) -> np.ndarray:
+    """Keys weights of input samples 0..n - 1 of an axis upscaled by `scale`:
+    output sample d = scale * i + p at src = (d + 0.5) / scale - 0.5 weighs
+    input sample floor(src) + t by _cubic_kernel(src - (floor(src) + t)).
+    As (4, scale) scalars per tap t = -1..2 and phase p where every sample of
+    each phase has the same weight (scale 2 and 4, where src is exact), else
+    as (4, scale, n) rows that a band of samples slices."""
+    src = (np.arange(n * scale) + 0.5) / scale - 0.5  # half-pixel centres
+    wgts = _cubic_kernel(src - (np.floor(src) + np.arange(-1, 3)[:, None]))
+    wgts = np.ascontiguousarray(wgts.reshape(4, n, scale).transpose(0, 2, 1))
+    return wgts[..., 0].copy() if (wgts == wgts[..., :1]).all() else wgts
 
 
-def _bicubic_planes(planes: np.ndarray, scale: int,
+def _bicubic_weights(h: int, w: int, scale: int) -> tuple[np.ndarray, np.ndarray]:
+    """The weights _bicubic_planes reads for (H, W) planes, built once per image:
+    of the rows, and of the columns and their 4 edge-padding ones."""
+    return _phase_weights(h, scale), _phase_weights(w + 4, scale)
+
+
+def _bicubic_planes(planes: np.ndarray, weights: tuple[np.ndarray, np.ndarray],
                     rows: Optional[tuple[int, int]] = None) -> np.ndarray:
     """Separable Keys bicubic upscale of stacked (C, H, W) float64 planes, rows
     first, then columns, as a polyphase filter on the low-resolution grid,
-    samples edge-clamped.
+    samples edge-clamped, with `weights` = _bicubic_weights(H, W, scale).
 
     With `rows` = (r0, r1), both multiples of scale, only high-resolution rows
     r0..r1 - 1 are made, and `planes` holds just the low-resolution rows they
-    read, _taps_window(r0 // scale, r1 // scale, H) of the whole planes. Every
-    sample equals the whole-plane one, as it comes from the same weights in
-    the same tap order.
+    read, _taps_window(r0 // scale, r1 // scale, H) of the whole planes.
+
+    Output sample scale * i + p of an axis sums, in tap order t = -1..2, its
+    weight times input sample i + t + floor((p + 0.5) / scale - 0.5): one
+    multiply of a shifted slice per (phase, tap). The rows pass, on planes
+    with edge-padded columns, writes each row phase as one block of a flat
+    buffer of (W + 4)-sample rows and 4 spare samples, so each columns tap is
+    one contiguous slice of it; the 4 products per row that wrap into the
+    next row are dropped when the phases interleave. Every sample equals the
+    whole-plane one: the same weights in the same order.
     """
+    row_wts, col_wts = weights
+    scale = row_wts.shape[1]
+    c, h, w = planes.shape
     if rows is None:
-        rows = 0, planes.shape[1] * scale
-        planes = planes[:, _taps_window(0, planes.shape[1], planes.shape[1])]
+        rows = 0, h * scale
+        planes = planes[:, _taps_window(0, h, h)]
     if scale == 1:
         return planes[:, 2:-2].copy()
-    w = planes.shape[2]
-    cols = _polyphase_axis(planes, scale, 1, rows[0])[:, :, _taps_window(0, w, w)]
-    return _polyphase_axis(cols, scale, 2, 0)
+    n, lo, wp = planes.shape[1] - 4, rows[0] // scale, w + 4
+    planes = planes[:, :, _taps_window(0, w, w)]
+    size = scale * c * n * wp
+    flat = np.empty(size + 4)
+    flat[size:] = 0.0
+    high = flat[:size].reshape(scale, c, n, wp)     # row phase p of input row i: high[p, :, i]
+    acc, prod = np.empty(high.shape), np.empty(high.shape)
+    for p in range(scale):
+        shift = 2 * p + 1 >= scale                  # floor((p + 0.5) / scale - 0.5) + 1
+        for t in range(4):
+            wgt = row_wts[t, p] if row_wts.ndim == 2 else row_wts[t, p, lo:lo + n, None]
+            part = planes[:, t + shift:t + shift + n]
+            if t == 0:
+                np.multiply(part, wgt, out=high[p])
+            else:
+                high[p] += np.multiply(part, wgt, out=prod[0])
+    out = np.empty((c, n, scale, w, scale))
+    for p in range(scale):
+        shift = 2 * p + 1 >= scale
+        for t in range(4):
+            part = flat[t + shift:t + shift + size].reshape(high.shape)
+            if t == 0:
+                np.multiply(part, col_wts[t, p], out=acc)
+            else:
+                acc += np.multiply(part, col_wts[t, p], out=prod)
+        out[..., p] = acc[..., :w].transpose(1, 2, 0, 3)
+    return out.reshape(c, n * scale, w * scale)
 
 
 def bicubic_upscale_plane(plane: np.ndarray, scale: int) -> np.ndarray:
-    """Separable Keys bicubic (a = -0.5) upscale of a non-empty 2-D plane."""
+    """Separable Keys bicubic (a = -0.5) upscale of a non-empty 2-D plane by a
+    positive integer scale."""
     plane = np.asarray(plane, dtype=np.float64)
+    if not isinstance(scale, (int, np.integer)):
+        raise DimensionError(f"scale must be a positive integer, got {scale!r}")
     if plane.ndim != 2 or plane.size == 0 or scale < 1:
         raise DimensionError(f"expected a non-empty 2-D plane, scale >= 1: {plane.shape}, {scale}")
-    return _bicubic_planes(plane[None], scale)[0]
+    return _bicubic_planes(plane[None], _bicubic_weights(*plane.shape, int(scale)))[0]
 
 
 # ITU-R BT.601 studio swing (Y in [16,235], Cb/Cr in [16,240])
 _KR, _KG, _KB = 0.299, 0.587, 0.114
 
 
-def _luma(rgb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full-range and clipped studio-swing Y of float64 RGB (..., 3)."""
-    y_full = _KR * rgb[..., 0] + _KG * rgb[..., 1] + _KB * rgb[..., 2]
-    return y_full, np.clip(16.0 + (219.0 / 255.0) * y_full, 16.0, 235.0)
+def _luma(rgb: np.ndarray) -> np.ndarray:
+    """Full-range Y of float64 RGB (..., 3): the one Y expression."""
+    return _KR * rgb[..., 0] + _KG * rgb[..., 1] + _KB * rgb[..., 2]
+
+
+def _studio_luma(y_full: np.ndarray) -> np.ndarray:
+    """Studio-swing Y, clipped to [16, 235], of full-range Y."""
+    return np.clip(16.0 + (219.0 / 255.0) * y_full, 16.0, 235.0)
+
+
+def _cbcr(rgb: np.ndarray, y_full: np.ndarray) -> np.ndarray:
+    """Clipped studio-swing Cb and Cr, stacked as (2, ...), of float64 RGB
+    (..., 3) whose full-range Y is y_full."""
+    cbcr = np.stack([128.0 + (112.0 / 255.0) * (rgb[..., c] - y_full) / (1.0 - k)
+                     for c, k in ((2, _KB), (0, _KR))])
+    return np.clip(cbcr, 16.0, 240.0, out=cbcr)
 
 
 def rgb_to_ycbcr(img: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -301,38 +336,40 @@ def rgb_to_ycbcr(img: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rgb = np.asarray(img, dtype=np.float64)
     if rgb.ndim != 3 or rgb.shape[2] != 3:
         raise DimensionError(f"expected (H, W, 3) RGB image, got {rgb.shape}")
-    y_full, y = _luma(rgb)
-    cb = 128.0 + (112.0 / 255.0) * (rgb[..., 2] - y_full) / (1.0 - _KB)
-    cr = 128.0 + (112.0 / 255.0) * (rgb[..., 0] - y_full) / (1.0 - _KR)
-    return y, np.clip(cb, 16.0, 240.0), np.clip(cr, 16.0, 240.0)
+    y_full = _luma(rgb)
+    cb, cr = _cbcr(rgb, y_full)
+    return _studio_luma(y_full), cb, cr
 
 
-def _ycbcr_into_rgb(y: np.ndarray, cb: np.ndarray, cr: np.ndarray,
-                    rgb: np.ndarray) -> np.ndarray:
-    """ycbcr_to_rgb in place on float64 planes of one shape, with one scratch
-    plane, into the (H, W, 3) uint8 `rgb`: y, cb and cr are left holding G, B
-    and R."""
+def _ycbcr_into_rgb(y: np.ndarray, cbcr: np.ndarray, rgb: np.ndarray) -> np.ndarray:
+    """ycbcr_to_rgb in place on float64 planes, with one scratch plane, into
+    the (..., 3) uint8 `rgb`: `y` holds studio-swing Y and `cbcr` the stacked
+    (2, ...) Cb and Cr, and they are left holding G and the stacked B and R.
+    Each channel is clipped, then rounded half to even straight into `rgb`;
+    as 0 and 255 are integers, that equals rounding first."""
     y -= 16.0
     y *= 255.0 / 219.0
-    for c, k in ((cr, _KR), (cb, _KB)):
-        c -= 128.0
-        c *= 1.0 - k
-        c *= 255.0 / 112.0
-        c += y
-    scratch = np.multiply(cr, _KR)
+    cbcr -= 128.0
+    cbcr[0] *= 1.0 - _KB
+    cbcr[1] *= 1.0 - _KR
+    cbcr *= 255.0 / 112.0
+    cbcr += y
+    cb, cr = cbcr
+    scratch = np.multiply(cr, _KR, out=np.empty_like(y))
     y -= scratch
     y -= np.multiply(cb, _KB, out=scratch)
     y /= _KG
-    for c, plane in enumerate((cr, y, cb)):         # rounded and clamped in place
-        rgb[..., c] = np.clip(np.rint(plane, out=plane), 0, 255, out=plane)
+    for plane, channels in ((cbcr, np.moveaxis(rgb[..., 2::-2], -1, 0)), (y, rgb[..., 1])):
+        np.rint(np.clip(plane, 0, 255, out=plane), out=channels, casting="unsafe")
     return rgb
 
 
 def ycbcr_to_rgb(y: np.ndarray, cb: np.ndarray, cr: np.ndarray) -> np.ndarray:
     """Inverse of rgb_to_ycbcr, rounded and clamped to 8-bit RGB; the inputs
     are left alone."""
-    planes = [np.array(p, dtype=np.float64) for p in np.broadcast_arrays(y, cb, cr)]
-    return _ycbcr_into_rgb(*planes, np.empty(planes[0].shape + (3,), dtype=np.uint8))
+    y, cb, cr = np.broadcast_arrays(y, cb, cr)
+    return _ycbcr_into_rgb(np.array(y, dtype=np.float64), np.array((cb, cr), dtype=np.float64),
+                           np.empty(y.shape + (3,), dtype=np.uint8))
 
 
 def psnr(a, b, border: int = 0) -> float:

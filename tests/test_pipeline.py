@@ -16,6 +16,7 @@ from tdcnet.reference import (bicubic_upscale_plane, conv2d, depth_to_space,
                               depth_to_space_array, rgb_to_ycbcr, ycbcr_to_rgb)
 
 from conftest import random_net, random_weight_doc
+from test_reference import _bicubic_axis, stacked
 
 Q13 = QFormat(13, 9)
 
@@ -197,6 +198,46 @@ def _luma(net, y_plane):
     from tdcnet.quant import float_forward
     out = float_forward(net, Tensor3((y_plane / 255.0)[None]))
     return np.clip(np.rint(out.data[0] * 255.0), 0.0, 255.0)
+
+
+def _band_rows(w, scale):
+    """Input rows of one colour band: its float64 Y, Cb and Cr within the
+    scratch budget, but at least 4."""
+    return max(4, reference._rows_within(24 * w * scale * scale))
+
+
+class TestColourOracle:
+    """RGB output against a test-side colour path: Y, Cb and Cr by their
+    BT.601 formulas, the per-tap gather loop of bicubic and the stacked
+    conversion formula of test_reference, the network's luma from the
+    whole-plane chains; no library colour function. The benchmark's oracle
+    calls the library's own colour functions, so it cannot see a change here."""
+
+    CASES = [(96, 96, 4), (12, 160, 3)] + [
+        (_band_rows(w, s) * k + d, w, s)        # bands meeting at +-1 input row
+        for w, s in ((96, 4), (160, 3), (160, 2)) for k, d in ((1, -1), (1, 1), (2, 1))]
+
+    @pytest.mark.parametrize("mode", ["float", "fixed"])
+    @pytest.mark.parametrize("h, w, scale", CASES, ids=[f"{h}x{w}-s{s}" for h, w, s in CASES])
+    def test_rgb_matches_gather_and_stacked_oracle(self, mode, h, w, scale):
+        rng = np.random.default_rng([h, w, scale])
+        net = random_net(rng, scale=scale, depth=2)
+        img = rng.integers(0, 256, (h, w, 3)).astype(np.uint8)
+        rgb = img.astype(np.float64)
+        y_full = 0.299 * rgb[..., 0] + 0.587 * rgb[..., 1] + 0.114 * rgb[..., 2]
+        y = np.clip(16.0 + (219.0 / 255.0) * y_full, 16.0, 235.0)
+        cb, cr = (np.clip(128.0 + (112.0 / 255.0) * (rgb[..., c] - y_full) / (1.0 - k),
+                          16.0, 240.0) for c, k in ((2, 0.114), (0, 0.299)))
+        if mode == "float":
+            luma = _float_chain(net, (y / 255.0)[None])[-1][0] * 255.0
+        else:
+            raw = _fixed_chain(quantize_network(net, Q13, Q13),
+                               quantize_array((y / 255.0)[None], Q13))[-1]
+            luma = raw[0] * Q13.step * 255.0
+        want = stacked(np.clip(np.rint(luma), 0, 255),
+                       *(_bicubic_axis(_bicubic_axis(p, scale, 0), scale, 1) for p in (cb, cr)))
+        for run in (infer, infer_streaming):
+            assert run(img, net, scale, mode=mode).tobytes() == want.tobytes()
 
 
 class TestStreaming:

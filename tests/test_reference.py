@@ -5,7 +5,8 @@ import pytest
 
 from tdcnet.errors import DimensionError
 from tdcnet.model import DeconvLayerSpec, Tensor3, conv_layer
-from tdcnet.reference import (_bicubic_planes, _cubic_kernel, _taps_window,
+from tdcnet.reference import (_bicubic_planes, _bicubic_weights, _cubic_kernel,
+                              _phase_weights, _taps_window,
                               bicubic_upscale_plane, canvas_window, conv2d,
                               deconv2d_canvas, depth_to_space, prelu, psnr,
                               rgb_to_ycbcr, ycbcr_to_rgb)
@@ -137,10 +138,11 @@ class TestDepthToSpace:
         # whole-plane one, for every band of whole input rows
         rng = np.random.default_rng([scale, h])
         planes = rng.uniform(-300.0, 600.0, (2, h, 7))
-        whole = _bicubic_planes(planes, scale)
+        weights = _bicubic_weights(h, 7, scale)
+        whole = _bicubic_planes(planes, weights)
         for i0 in range(h):
             for i1 in range(i0 + 1, h + 1):
-                band = _bicubic_planes(planes[:, _taps_window(i0, i1, h)], scale,
+                band = _bicubic_planes(planes[:, _taps_window(i0, i1, h)], weights,
                                        (i0 * scale, i1 * scale))
                 assert np.array_equal(band, whole[:, i0 * scale:i1 * scale])
 
@@ -219,6 +221,36 @@ class TestBicubic:
         p = rng.normal(size=(4, 5))
         assert np.array_equal(bicubic_upscale_plane(p, 1), p)
 
+    @pytest.mark.parametrize("scale", [2.0, 2.5, "2", None])
+    def test_non_integral_scale_is_a_dimension_error(self, scale):
+        # a bare TypeError from deep inside the filter, before
+        with pytest.raises(DimensionError, match=f"got {scale!r}"):
+            bicubic_upscale_plane(np.ones((3, 4)), scale)
+
+    @pytest.mark.parametrize("scale", [2, 4])
+    def test_phase_weights_collapse_exactly(self, scale):
+        # (d + 0.5) / s is exact for a power of two s, so every sample of a
+        # phase has the scalar's weight, in bands starting anywhere up to 2**20
+        wgts = _phase_weights(7, scale)
+        assert wgts.shape == (4, scale)
+        taps = np.arange(-1, 3)[:, None]
+        chunk = 2 ** 16
+        for i0 in range(0, 2 ** 20 + chunk, chunk):
+            src = (np.arange(i0 * scale, (i0 + chunk) * scale) + 0.5) / scale - 0.5
+            per_sample = _cubic_kernel(src - (np.floor(src) + taps)).reshape(4, chunk, scale)
+            assert np.array_equal(per_sample, np.broadcast_to(wgts[:, None], per_sample.shape))
+
+    def test_phase_weights_stay_per_sample_at_s3(self):
+        # (d + 0.5) / 3 rounds, so the weights of some phase differ between
+        # samples in the last bits: s = 3 keeps a row of weights per phase
+        n = 1000
+        wgts = _phase_weights(n, 3)
+        src = (np.arange(3 * n) + 0.5) / 3 - 0.5
+        per_sample = _cubic_kernel(src - (np.floor(src) + np.arange(-1, 3)[:, None]))
+        assert wgts.shape == (4, 3, n) and wgts.flags.c_contiguous
+        assert np.array_equal(wgts, per_sample.reshape(4, n, 3).transpose(0, 2, 1))
+        assert (wgts != wgts[..., :1]).any()
+
     def test_constant_preserved(self):
         out = bicubic_upscale_plane(np.full((4, 4), 3.25), 3)
         assert np.allclose(out, 3.25, rtol=0, atol=1e-12)
@@ -230,6 +262,15 @@ class TestBicubic:
         fine = (np.arange(32) + 0.5) / 2 - 0.5
         assert np.allclose(out[:, 4:-4], np.tile(fine, (8, 1))[:, 4:-4],
                            rtol=0, atol=1e-9)
+
+
+def stacked(y, cb, cr):
+    # the whole-image formula: three float64 planes stacked, then rounded
+    y_full = (y - 16.0) * (255.0 / 219.0)
+    r = y_full + (cr - 128.0) * (1.0 - 0.299) * (255.0 / 112.0)
+    b = y_full + (cb - 128.0) * (1.0 - 0.114) * (255.0 / 112.0)
+    g = (y_full - 0.299 * r - 0.114 * b) / 0.587
+    return np.clip(np.rint(np.stack([r, g, b], axis=-1)), 0, 255).astype(np.uint8)
 
 
 class TestColor:
@@ -246,16 +287,13 @@ class TestColor:
         back = ycbcr_to_rgb(*rgb_to_ycbcr(img))
         assert np.abs(back.astype(int) - img.astype(int)).max() <= 1
 
+    def test_ycbcr_to_rgb_of_scalars(self):
+        # 0-d planes raised a TypeError from the scratch product, before
+        got = ycbcr_to_rgb(100.0, 90.0, 200.0)
+        assert got.shape == (3,) and got.tobytes() == stacked(100.0, 90.0, 200.0).tobytes()
+
     @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (7, 1), (17, 13)])
     def test_ycbcr_to_rgb_matches_stacked_formula(self, shape):
-        def stacked(y, cb, cr):
-            # the whole-image formula: three float64 planes stacked, then rounded
-            y_full = (y - 16.0) * (255.0 / 219.0)
-            r = y_full + (cr - 128.0) * (1.0 - 0.299) * (255.0 / 112.0)
-            b = y_full + (cb - 128.0) * (1.0 - 0.114) * (255.0 / 112.0)
-            g = (y_full - 0.299 * r - 0.114 * b) / 0.587
-            return np.clip(np.rint(np.stack([r, g, b], axis=-1)), 0, 255).astype(np.uint8)
-
         rng = np.random.default_rng(list(shape))
         # values far outside the studio ranges convert outside [0, 255]
         y, cb, cr = (rng.uniform(-60.0, 320.0, shape) for _ in range(3))
