@@ -10,6 +10,7 @@ result does not depend on how many rows its block holds, and integer codes
 from __future__ import annotations
 
 import math
+import operator
 from typing import Optional
 
 import numpy as np
@@ -224,12 +225,11 @@ def _taps_window(lo: int, hi: int, n: int) -> np.ndarray:
 
 
 def _phase_weights(n: int, scale: int) -> np.ndarray:
-    """Keys weights of input samples 0..n - 1 of an axis upscaled by `scale`:
-    output sample d = scale * i + p at src = (d + 0.5) / scale - 0.5 weighs
-    input sample floor(src) + t by _cubic_kernel(src - (floor(src) + t)).
-    As (4, scale) scalars per tap t = -1..2 and phase p where every sample of
-    each phase has the same weight (scale 2 and 4, where src is exact), else
-    as (4, scale, n) rows that a band of samples slices."""
+    """Keys weights of an n-sample axis upscaled by `scale`, per tap t = -1..2
+    and phase p: output sample d at src = (d + 0.5) / scale - 0.5 weighs input
+    sample floor(src) + t by _cubic_kernel(src - (floor(src) + t)). One scalar
+    each where every sample of a phase has the same weight (scale 2 and 4,
+    where src is exact), else (4, scale, n) rows that a band slices."""
     src = (np.arange(n * scale) + 0.5) / scale - 0.5  # half-pixel centres
     wgts = _cubic_kernel(src - (np.floor(src) + np.arange(-1, 3)[:, None]))
     wgts = np.ascontiguousarray(wgts.reshape(4, n, scale).transpose(0, 2, 1))
@@ -250,16 +250,14 @@ def _bicubic_planes(planes: np.ndarray, weights: tuple[np.ndarray, np.ndarray],
 
     With `rows` = (r0, r1), both multiples of scale, only high-resolution rows
     r0..r1 - 1 are made, and `planes` holds just the low-resolution rows they
-    read, _taps_window(r0 // scale, r1 // scale, H) of the whole planes.
+    read, _taps_window(r0 // scale, r1 // scale, H) of the whole planes; every
+    sample equals the whole-plane one, of the same weights in the same order.
 
-    Output sample scale * i + p of an axis sums, in tap order t = -1..2, its
-    weight times input sample i + t + floor((p + 0.5) / scale - 0.5): one
-    multiply of a shifted slice per (phase, tap). The rows pass, on planes
-    with edge-padded columns, writes each row phase as one block of a flat
-    buffer of (W + 4)-sample rows and 4 spare samples, so each columns tap is
-    one contiguous slice of it; the 4 products per row that wrap into the
-    next row are dropped when the phases interleave. Every sample equals the
-    whole-plane one: the same weights in the same order.
+    Output sample scale * i + p sums, in tap order t = -1..2, its weight times
+    input sample i + t + floor((p + 0.5) / scale - 0.5). The rows pass writes
+    each row phase as one block of a flat buffer of (W + 4)-sample rows and 4
+    spare samples, so each columns tap is one contiguous slice of it; the 4
+    products per row that wrap into the next row are dropped on interleaving.
     """
     row_wts, col_wts = weights
     scale = row_wts.shape[1]
@@ -299,14 +297,15 @@ def _bicubic_planes(planes: np.ndarray, weights: tuple[np.ndarray, np.ndarray],
 
 
 def bicubic_upscale_plane(plane: np.ndarray, scale: int) -> np.ndarray:
-    """Separable Keys bicubic (a = -0.5) upscale of a non-empty 2-D plane by a
-    positive integer scale."""
+    """Separable Keys bicubic (a = -0.5) upscale of a non-empty 2-D plane."""
     plane = np.asarray(plane, dtype=np.float64)
-    if not isinstance(scale, (int, np.integer)):
-        raise DimensionError(f"scale must be a positive integer, got {scale!r}")
+    try:
+        scale = operator.index(scale)
+    except TypeError:
+        raise DimensionError(f"scale must be a positive integer, got {scale!r}") from None
     if plane.ndim != 2 or plane.size == 0 or scale < 1:
         raise DimensionError(f"expected a non-empty 2-D plane, scale >= 1: {plane.shape}, {scale}")
-    return _bicubic_planes(plane[None], _bicubic_weights(*plane.shape, int(scale)))[0]
+    return _bicubic_planes(plane[None], _bicubic_weights(*plane.shape, scale))[0]
 
 
 # ITU-R BT.601 studio swing (Y in [16,235], Cb/Cr in [16,240])
@@ -324,8 +323,7 @@ def _studio_luma(y_full: np.ndarray) -> np.ndarray:
 
 
 def _cbcr(rgb: np.ndarray, y_full: np.ndarray) -> np.ndarray:
-    """Clipped studio-swing Cb and Cr, stacked as (2, ...), of float64 RGB
-    (..., 3) whose full-range Y is y_full."""
+    """Clipped studio-swing (Cb, Cr), stacked, of float64 RGB with full-range Y."""
     cbcr = np.stack([128.0 + (112.0 / 255.0) * (rgb[..., c] - y_full) / (1.0 - k)
                      for c, k in ((2, _KB), (0, _KR))])
     return np.clip(cbcr, 16.0, 240.0, out=cbcr)
@@ -343,10 +341,9 @@ def rgb_to_ycbcr(img: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _ycbcr_into_rgb(y: np.ndarray, cbcr: np.ndarray, rgb: np.ndarray) -> np.ndarray:
     """ycbcr_to_rgb in place on float64 planes, with one scratch plane, into
-    the (..., 3) uint8 `rgb`: `y` holds studio-swing Y and `cbcr` the stacked
-    (2, ...) Cb and Cr, and they are left holding G and the stacked B and R.
-    Each channel is clipped, then rounded half to even straight into `rgb`;
-    as 0 and 255 are integers, that equals rounding first."""
+    the (..., 3) uint8 `rgb`: `y` (studio Y) and `cbcr` (stacked Cb, Cr) are
+    left holding G and stacked B, R. Each channel is clipped, then rounded
+    into `rgb`, which equals rounding first as 0 and 255 are integers."""
     y -= 16.0
     y *= 255.0 / 219.0
     cbcr -= 128.0

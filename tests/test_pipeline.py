@@ -136,24 +136,52 @@ def _tile_rows(w):
     return max(2, quant._TILE_PIXELS // w)
 
 
-class TestRowTiles:
-    """Batch inference runs in row tiles of _tile_rows(W); every tile boundary
-    must leave the output exactly as one whole-plane pass gives it."""
+def _band_rows(w, scale):
+    """Input rows of one colour band: its float64 Y, Cb and Cr within the
+    scratch budget, but at least 4."""
+    return max(4, reference._rows_within(24 * w * scale * scale))
 
-    # a 96-wide plane takes tiles of many rows, the wider one the 2-row floor
-    @pytest.mark.parametrize("w", [96, quant._TILE_PIXELS // 2 + 1])
-    @pytest.mark.parametrize("extra", [-1, 0, 1, "2T+1"])
+
+# (rows, w, scale): T + rows input rows, T = _tile_rows(w), at a random scale
+# (a 96-wide plane takes tiles of many rows, the wider one the 2-row floor);
+# or a whole height at one scale: 96x96 s=4, 12x160 s=3, and colour bands
+# meeting at +-1 input row
+SEAMS = [(rows, w, None) for w in (96, quant._TILE_PIXELS // 2 + 1)
+         for rows in (-1, 0, 1, "2T+1")] + [(96, 96, 4), (12, 160, 3)] + [
+    (_band_rows(w, s) * k + d, w, s) for w, s in ((96, 4), (160, 3), (160, 2))
+    for k, d in ((1, -1), (1, 1), (2, 1))]
+
+
+class TestRowTiles:
+    """Batch inference runs in row tiles of _tile_rows(W), and colour in
+    bands of _band_rows(W, scale); every tile and band boundary must leave
+    the output exactly as whole-plane passes give it."""
+
+    @pytest.mark.parametrize("rows, w, scale", SEAMS, ids=[
+        f"{r}-{w}" if s is None else f"{r}x{w}-s{s}" for r, w, s in SEAMS])
     @pytest.mark.parametrize("rgb", [False, True], ids=["grey", "rgb"])
     @pytest.mark.parametrize("mode", ["float", "fixed"])
-    def test_tiles_cross_boundaries_exactly(self, w, extra, rgb, mode):
-        t = _tile_rows(w)
-        assert t > 2 if w == 96 else t == 2
-        h = 2 * t + 1 if extra == "2T+1" else t + extra
+    def test_tiles_cross_boundaries_exactly(self, rows, w, scale, rgb, mode):
+        # the expected RGB comes from a test-side colour path: BT.601
+        # formulas for Y, Cb and Cr, the gather loop of bicubic and the
+        # stacked conversion of test_reference; no library colour function,
+        # which the benchmark's own oracle calls and so cannot check
+        if scale is None:
+            t = _tile_rows(w)
+            assert t > 2 if w == 96 else t == 2
+            h = 2 * t + 1 if rows == "2T+1" else t + rows
+        else:
+            h = rows
         rng = np.random.default_rng([w, h, rgb])
-        scale = int(rng.integers(2, 5))
+        scale = scale or int(rng.integers(2, 5))
         net = random_net(rng, scale=scale)
         img = rng.integers(0, 256, (h, w, 3) if rgb else (h, w)).astype(np.uint8)
-        y, cb, cr = rgb_to_ycbcr(img) if rgb else (img.astype(np.float64), None, None)
+        x = img.astype(np.float64)
+        if rgb:
+            y_full = 0.299 * x[..., 0] + 0.587 * x[..., 1] + 0.114 * x[..., 2]
+            y = np.clip(16.0 + (219.0 / 255.0) * y_full, 16.0, 235.0)
+        else:
+            y = x
         if mode == "float":
             luma = _float_chain(net, (y / 255.0)[None])[-1][0] * 255.0
         else:
@@ -164,12 +192,14 @@ class TestRowTiles:
             luma = raw[0] * Q13.step * 255.0
         luma = np.clip(np.rint(luma), 0, 255)
         if rgb:
-            want = ycbcr_to_rgb(luma, bicubic_upscale_plane(cb, scale),
-                                bicubic_upscale_plane(cr, scale))
+            cb, cr = (np.clip(128.0 + (112.0 / 255.0) * (x[..., c] - y_full) / (1.0 - k),
+                              16.0, 240.0) for c, k in ((2, 0.114), (0, 0.299)))
+            want = stacked(luma, *(_bicubic_axis(_bicubic_axis(p, scale, 0), scale, 1)
+                                   for p in (cb, cr)))
         else:
             want = luma.astype(np.uint8)
         for run in (infer, infer_streaming):
-            assert np.array_equal(run(img, net, scale, mode=mode), want)
+            assert run(img, net, scale, mode=mode).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("w", [17, 1000])
     def test_trace_is_stitched(self, w):
@@ -198,46 +228,6 @@ def _luma(net, y_plane):
     from tdcnet.quant import float_forward
     out = float_forward(net, Tensor3((y_plane / 255.0)[None]))
     return np.clip(np.rint(out.data[0] * 255.0), 0.0, 255.0)
-
-
-def _band_rows(w, scale):
-    """Input rows of one colour band: its float64 Y, Cb and Cr within the
-    scratch budget, but at least 4."""
-    return max(4, reference._rows_within(24 * w * scale * scale))
-
-
-class TestColourOracle:
-    """RGB output against a test-side colour path: Y, Cb and Cr by their
-    BT.601 formulas, the per-tap gather loop of bicubic and the stacked
-    conversion formula of test_reference, the network's luma from the
-    whole-plane chains; no library colour function. The benchmark's oracle
-    calls the library's own colour functions, so it cannot see a change here."""
-
-    CASES = [(96, 96, 4), (12, 160, 3)] + [
-        (_band_rows(w, s) * k + d, w, s)        # bands meeting at +-1 input row
-        for w, s in ((96, 4), (160, 3), (160, 2)) for k, d in ((1, -1), (1, 1), (2, 1))]
-
-    @pytest.mark.parametrize("mode", ["float", "fixed"])
-    @pytest.mark.parametrize("h, w, scale", CASES, ids=[f"{h}x{w}-s{s}" for h, w, s in CASES])
-    def test_rgb_matches_gather_and_stacked_oracle(self, mode, h, w, scale):
-        rng = np.random.default_rng([h, w, scale])
-        net = random_net(rng, scale=scale, depth=2)
-        img = rng.integers(0, 256, (h, w, 3)).astype(np.uint8)
-        rgb = img.astype(np.float64)
-        y_full = 0.299 * rgb[..., 0] + 0.587 * rgb[..., 1] + 0.114 * rgb[..., 2]
-        y = np.clip(16.0 + (219.0 / 255.0) * y_full, 16.0, 235.0)
-        cb, cr = (np.clip(128.0 + (112.0 / 255.0) * (rgb[..., c] - y_full) / (1.0 - k),
-                          16.0, 240.0) for c, k in ((2, 0.114), (0, 0.299)))
-        if mode == "float":
-            luma = _float_chain(net, (y / 255.0)[None])[-1][0] * 255.0
-        else:
-            raw = _fixed_chain(quantize_network(net, Q13, Q13),
-                               quantize_array((y / 255.0)[None], Q13))[-1]
-            luma = raw[0] * Q13.step * 255.0
-        want = stacked(np.clip(np.rint(luma), 0, 255),
-                       *(_bicubic_axis(_bicubic_axis(p, scale, 0), scale, 1) for p in (cb, cr)))
-        for run in (infer, infer_streaming):
-            assert run(img, net, scale, mode=mode).tobytes() == want.tobytes()
 
 
 class TestStreaming:

@@ -227,6 +227,12 @@ class TestBicubic:
         with pytest.raises(DimensionError, match=f"got {scale!r}"):
             bicubic_upscale_plane(np.ones((3, 4)), scale)
 
+    @pytest.mark.parametrize("scale", [np.int64(2), np.array(2)], ids=repr)
+    def test_integral_scales_are_accepted(self, rng, scale):
+        p = rng.normal(size=(3, 4))
+        want = bicubic_upscale_plane(p, int(scale))
+        assert np.array_equal(bicubic_upscale_plane(p, scale), want)
+
     @pytest.mark.parametrize("scale", [2, 4])
     def test_phase_weights_collapse_exactly(self, scale):
         # (d + 0.5) / s is exact for a power of two s, so every sample of a
