@@ -43,6 +43,9 @@ CUSTOM_FLAGS = ("m", "n", "hin", "win", "kd", "stride", "tm", "tn")
 # --bits widths: QFormat(b, b - 4) keeps a sign and 3 integer bits and
 # holds at most 32 bits
 BITS = range(4, 33)
+# the most a flag that sizes arrays (kernel, maps, depth) may give, refused
+# before anything is allocated; verify-tdc's own sweep reaches kd 11
+SIZE_LIMIT = 128
 
 
 def _digest(argv: list[str], files: list[str]) -> str:
@@ -162,8 +165,17 @@ def _positive(args, *flags) -> None:
             raise TdcnetError(f"--{flag} must be a positive integer, got {value}")
 
 
+def _bounded(args, *flags) -> None:
+    """Refuse a size flag above SIZE_LIMIT before it sizes any array."""
+    for flag in flags:
+        value = getattr(args, flag)
+        if value is not None and value > SIZE_LIMIT:
+            raise TdcnetError(f"--{flag} must be at most {SIZE_LIMIT}, got {value}")
+
+
 def _cmd_verify_tdc(args, argv):
     _positive(args, "kd", "stride", "trials")
+    _bounded(args, "kd")
     if args.seed < 0:
         raise TdcnetError(f"--seed must be a non-negative integer, got {args.seed}")
     if args.kd is not None:
@@ -189,6 +201,7 @@ def _cmd_verify_tdc(args, argv):
 
 def _cmd_schedule(args, argv):
     _positive(args, "kd", "stride", "pes")
+    _bounded(args, "kd")
     layer = DeconvLayerSpec(
         args.kd, args.stride, 1, 1,
         np.arange(1.0, args.kd ** 2 + 1).reshape(1, 1, args.kd, args.kd),
@@ -257,6 +270,7 @@ def _cmd_cycles(args, argv):
 
 
 def _cmd_resources(args, argv):
+    _bounded(args, "x", "y", "z", "kd")
     cfg = FsrcnnConfig(args.x, args.y, args.z, args.kd, frozenset({args.scale}))
     net = build_fsrcnn(cfg, args.scale)
     report = dataflow.resource_report(net, args.alpha, args.bits, args.width)
@@ -281,6 +295,7 @@ def _cmd_resources(args, argv):
 
 
 def _cmd_plan(args, argv):
+    _bounded(args, "x", "y", "z", "kd")
     cfg = FsrcnnConfig(args.x, args.y, args.z, args.kd, frozenset({args.scale}))
     net = build_fsrcnn(cfg, args.scale)
     plan = dataflow.plan_dataflow(net, args.width, args.bits)

@@ -6,6 +6,7 @@ S x S blocks (depth_to_space) reproduces the deconvolution output exactly.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,8 +38,27 @@ class ZeroAnalysis:
     per_filter_nonzero: tuple[int, ...]   # length S^2, ordered by phase S*yo+xo
 
 
+@dataclass(frozen=True)
+class TransformPlan:
+    """The index work of one (K_D, S) transform, done once (transform_plan), read-only."""
+
+    geometry: TdcGeometry
+    axis: np.ndarray                      # (S, K_C) _axis_map
+    gather: np.ndarray                    # (S^2, K_C, K_C) taps' flat kernel index, K_D^2: zero
+    per_filter_nonzero: tuple[int, ...]   # ZeroAnalysis's, for every M and N
+
+
 def derive_geometry(deconv_kernel: int, stride: int) -> TdcGeometry:
-    """Conv kernel size and canvas alignment for the transform.
+    """Conv kernel size and canvas alignment for the transform, as its
+    transform_plan holds them."""
+    return transform_plan(deconv_kernel, stride).geometry
+
+
+# typed: a numpy-integer call must not leave its types in a later int call's geometry
+@functools.lru_cache(maxsize=64, typed=True)
+def transform_plan(deconv_kernel: int, stride: int) -> TransformPlan:
+    """The TransformPlan of one (K_D, S) pair, built on first use and kept in a
+    bounded cache keyed by the two integers.
 
     Neighboring blocks overlap by (K_D // 2) / S = q + r/S per axis. The
     half-overlap branch (r/S >= 1/2, e.g. kernel 7 stride 2 lies exactly on it)
@@ -53,8 +73,21 @@ def derive_geometry(deconv_kernel: int, stride: int) -> TdcGeometry:
     ge_half = 2 * r >= s
     kc = 2 * q + 1 + ge_half
     crop = kd - s * (kc // 2 + 1) + ge_half
-    overlap = Fraction(kd // 2, s)
-    return TdcGeometry(kd, s, overlap, kc, ge_half, crop)
+    geom = TdcGeometry(kd, s, Fraction(kd // 2, s), kc, ge_half, crop)
+    axis = _axis_map(geom)
+    live = axis >= 0
+    # tap (yo, xo, yi, xi) reads kernel row axis[yo, yi], column axis[xo, xi];
+    # a zero tap reads the zero transform_weights appends to the flat kernel
+    gather = np.where(live[:, None, :, None] & live[None, :, None, :],
+                      axis[:, None, :, None] * kd + axis[None, :, None, :],
+                      kd * kd).reshape(s * s, kc, kc)
+    per_filter = tuple((gather < kd * kd).sum(axis=(1, 2)).tolist())
+    if sum(per_filter) != kd * kd:
+        raise InternalConsistencyError(
+            f"per-filter nonzero counts {per_filter} do not sum to {kd * kd}"
+        )
+    axis.flags.writeable = gather.flags.writeable = False
+    return TransformPlan(geom, axis, gather, per_filter)
 
 
 def map_coefficient(geom: TdcGeometry, x_in: int, y_in: int,
@@ -69,7 +102,7 @@ def map_coefficient(geom: TdcGeometry, x_in: int, y_in: int,
             f"indices out of range: in=({x_in},{y_in}) out=({x_out},{y_out}) "
             f"for conv_kernel {kc}, stride {s}"
         )
-    axis = _axis_map(geom)
+    axis = transform_plan(geom.deconv_kernel, s).axis
     x_d, y_d = int(axis[x_out, x_in]), int(axis[y_out, y_in])
     return (x_d, y_d) if x_d >= 0 and y_d >= 0 else None
 
@@ -87,15 +120,7 @@ def zero_analysis(geom: TdcGeometry, out_maps: int, in_maps: int) -> ZeroAnalysi
     kd, s, kc = geom.deconv_kernel, geom.stride, geom.conv_kernel
     num_zero = (kc * kc * s * s - kd * kd) * out_maps * in_maps
     ratio = num_zero / (kc * kc * s * s * out_maps * in_maps)
-    axis = _axis_map(geom)
-    counts = (axis >= 0).sum(axis=1)      # valid taps per axis phase
-    per_filter = tuple(int(counts[yo] * counts[xo])
-                       for yo in range(s) for xo in range(s))
-    if sum(per_filter) != kd * kd:
-        raise InternalConsistencyError(
-            f"per-filter nonzero counts {per_filter} do not sum to {kd * kd}"
-        )
-    return ZeroAnalysis(num_zero, ratio, per_filter)
+    return ZeroAnalysis(num_zero, ratio, transform_plan(kd, s).per_filter_nonzero)
 
 
 def transform_weights(layer: DeconvLayerSpec) -> tuple[ConvLayerSpec, ZeroAnalysis]:
@@ -104,18 +129,16 @@ def transform_weights(layer: DeconvLayerSpec) -> tuple[ConvLayerSpec, ZeroAnalys
     Output map S^2*m + S*yo + xo holds the phase-(yo, xo) filter of deconv map
     m; every phase map carries bias[m], so the bias lands once per output pixel.
     """
-    geom = derive_geometry(layer.kernel, layer.scale)
-    s, kc = geom.stride, geom.conv_kernel
+    plan = transform_plan(layer.kernel, layer.scale)
+    s2, kc = layer.scale ** 2, plan.geometry.conv_kernel
     m, n = layer.out_maps, layer.in_maps
-    axis = _axis_map(geom)
-    # a zero tap's index -1 picks the zero row/column padded on at the end
-    padded = np.pad(layer.weights, ((0, 0), (0, 0), (0, 1), (0, 1)))
-    wc = padded[:, :, axis[:, None, :, None], axis[None, :, None, :]]  # m, n, yo, xo, yi, xi
-    wc = wc.transpose(0, 2, 3, 1, 4, 5).reshape(s * s * m, n, kc, kc)
+    flat = np.zeros((m, n, layer.kernel ** 2 + 1))     # the zero every zero tap reads
+    flat[:, :, :-1] = layer.weights.reshape(m, n, -1)
+    wc = flat[:, :, plan.gather].transpose(0, 2, 1, 3, 4).reshape(s2 * m, n, kc, kc)
     # channel order is S^2*m + phase: all S^2 phase maps of m carry bias[m]
-    bias = np.repeat(layer.bias, s * s)
-    conv = conv_layer(kc, s * s * m, n, wc, bias=bias)
-    return conv, zero_analysis(geom, m, n)
+    bias = np.repeat(layer.bias, s2)
+    conv = conv_layer(kc, s2 * m, n, wc, bias=bias)
+    return conv, zero_analysis(plan.geometry, m, n)
 
 
 def find_crop_offset(layer: DeconvLayerSpec) -> int:
@@ -138,10 +161,11 @@ def find_crop_offset(layer: DeconvLayerSpec) -> int:
     produced = deconv_via_transform(x, probe)
     canvas = deconv2d_canvas(x, probe)
     h, w = produced.height, produced.width
-    matches = [
-        c for c in range(-kd, kd + 1)
-        if np.array_equal(canvas_window(canvas, c, h, w).data, produced.data)
-    ]
+    # offset c's zero-extended window starts at row and column c + kd here
+    padded = np.zeros((1, 2 * kd + h, 2 * kd + w))
+    padded[:, kd:kd + canvas.height, kd:kd + canvas.width] = canvas.data
+    matches = [c for c in range(-kd, kd + 1) if np.array_equal(
+        padded[:, c + kd:c + kd + h, c + kd:c + kd + w], produced.data)]
     if len(matches) != 1:
         raise InternalConsistencyError(
             f"crop offset search found {len(matches)} matches for "

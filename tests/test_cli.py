@@ -233,6 +233,26 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["verify-tdc", "--kd", "1000000", "--stride", "2", "--trials", "1"], "kd"),
+        (["schedule", "--kd", "100000", "--stride", "2"], "kd"),
+        (["resources", "--x", "56", "--y", "12", "--z", "4", "--kd", str(cli.SIZE_LIMIT + 1),
+          "--scale", "2"], "kd"),
+        (["resources", "--x", "1000000", "--y", "12", "--z", "4", "--kd", "9",
+          "--scale", "2"], "x"),
+        (["plan", "--x", "56", "--y", "1000000", "--z", "4", "--kd", "9", "--scale", "2"], "y"),
+        (["plan", "--x", "56", "--y", "12", "--z", "100000000", "--kd", "9", "--scale", "2"],
+         "z"),
+    ], ids=["verify_kd", "schedule_kd", "resources_kd_past_limit", "resources_x", "plan_y",
+            "plan_z"])
+    def test_huge_size_flags(self, capsys, argv, flag):
+        # a numpy allocation traceback with exit 1, or a run out of memory, before;
+        # only values refused before anything is allocated are tried here
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: --{flag} must be at most {cli.SIZE_LIMIT}, got ")
+
     @pytest.mark.parametrize("kd", ["5", "0"])
     def test_cycles_stride_0(self, capsys, kd):
         # a ZeroDivisionError traceback with exit 1 before

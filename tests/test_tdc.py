@@ -8,8 +8,8 @@ from tdcnet.errors import ConfigurationError
 from tdcnet.model import DeconvLayerSpec, Tensor3
 from tdcnet.reference import conv2d, depth_to_space
 from tdcnet.tdc import (_axis_map, deconv_oracle, deconv_via_transform, derive_geometry,
-                        find_crop_offset, map_coefficient, transform_weights,
-                        zero_analysis)
+                        find_crop_offset, map_coefficient, transform_plan,
+                        transform_weights, zero_analysis)
 
 from conftest import random_deconv
 
@@ -156,6 +156,50 @@ class TestTransformWeights:
         conv, _ = transform_weights(layer)
         manual = depth_to_space(conv2d(x, conv), 2)
         assert np.array_equal(deconv_via_transform(x, layer).data, manual.data)
+
+
+def _padded_gather(layer):
+    """The transformed weights as a per-call np.pad gather builds them, on the
+    rational oracle's axis map: its index -1 picks the zero row or column
+    padded on at the end."""
+    s, m, n = layer.scale, layer.out_maps, layer.in_maps
+    (*_, kc, _, _), axis = _geometry_oracle(layer.kernel, s)
+    padded = np.pad(layer.weights, ((0, 0), (0, 0), (0, 1), (0, 1)))
+    wc = padded[:, :, axis[:, None, :, None], axis[None, :, None, :]]
+    return wc.transpose(0, 2, 3, 1, 4, 5).reshape(s * s * m, n, kc, kc)
+
+
+class TestTransformPlan:
+    PAIRS = [(kd, s) for s in range(2, 6) for kd in range(s, 16)]
+
+    def _check(self, rng, kd, s):
+        m, n = (int(v) for v in rng.integers(1, 4, size=2))
+        w = rng.integers(-2, 3, size=(m, n, kd, kd)).astype(float)
+        w[:, :, kd // 2, 0] = 0                  # zero weights among the taps, always
+        layer = DeconvLayerSpec(kd, s, m, n, w, rng.integers(-16, 17, size=m).astype(float))
+        conv, _ = transform_weights(layer)
+        want = _padded_gather(layer)
+        assert conv.weights.shape == want.shape and conv.weights.tobytes() == want.tobytes()
+        assert np.array_equal(conv.bias, np.repeat(layer.bias, s * s))
+
+    def test_equals_padded_gather(self, rng):
+        for kd, s in self.PAIRS:
+            self._check(rng, kd, s)
+
+    def test_arrays_read_only(self):
+        plan = transform_plan(9, 2)
+        for arr in (plan.axis, plan.gather):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        assert plan.geometry is derive_geometry(9, 2) and plan is transform_plan(9, 2)
+
+    def test_sweep_past_the_cache_bound(self, rng):
+        pairs = [(kd, s) for s in range(2, 10) for kd in range(s, s + 12)]
+        assert len(pairs) > transform_plan.cache_info().maxsize
+        for _ in range(2):                      # the second pass rebuilds evicted plans
+            for kd, s in pairs:
+                self._check(rng, kd, s)
 
 
 class TestCropOffsetSearch:
