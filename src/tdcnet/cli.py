@@ -4,7 +4,9 @@ machine-readable JSON report (schema in tdcnet/schemas/report.schema.json);
 byte-identical output.
 
 Exit codes: 0 success, 1 verification failure (a failed trial or internal
-self-check), 2 usage/parse error.
+self-check), 2 usage/parse error. Each integer flag's range is declared once,
+as its argparse `type=`, and checked while parsing; a value outside it is a
+`TdcnetError` naming the flag.
 """
 from __future__ import annotations
 
@@ -44,35 +46,30 @@ CUSTOM_FLAGS = ("m", "n", "hin", "win", "kd", "stride", "tm", "tn")
 # holds at most 32 bits
 BITS = range(4, 33)
 # the most a flag that sizes arrays (kernel, maps, depth) may give, refused
-# before anything is allocated; verify-tdc's own sweep reaches kd 11
+# before anything is allocated; verify-tdc's own sweep reaches kd 11. Its
+# square, the tap count of the largest kernel, bounds --pes and --trials: PEs
+# beyond a layer's taps get empty streams
 SIZE_LIMIT = 128
 
 
-def _digest(argv: list[str], files: list[str]) -> str:
-    h = hashlib.sha256()
-    for tok in argv:
-        h.update(tok.encode())
-        h.update(b"\0")
-    for path in files:
-        with open(path, "rb") as f:
-            h.update(f.read())
-    return h.hexdigest()
+def _int_flag(flag: str, low: int = 1, high: int | None = None):
+    """argparse `type=` of --flag: an int in low..high, else a TdcnetError naming
+    the flag, raised while parsing and so before anything is allocated."""
+    def parse(text) -> int:
+        value = int(text)
+        if low > 1 and not low <= value <= high:
+            raise TdcnetError(f"--{flag} must lie in {low}..{high}, got {value}")
+        if value < low:
+            kind = "positive" if low else "non-negative"
+            raise TdcnetError(f"--{flag} must be a {kind} integer, got {value}")
+        if high is not None and value > high:
+            raise TdcnetError(f"--{flag} must be at most {high}, got {value}")
+        return value
+    parse.__name__ = "int"   # argparse's own error names the type: "invalid int value"
+    return parse
 
 
-def _emit(args, argv, results, input_files=()):
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": list(argv),
-        "inputs_digest": _digest(list(argv), list(input_files)),
-        "results": results,
-    }
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+_bit_width = _int_flag("bits", BITS[0], BITS[-1])
 
 
 def _parse_bits(spec: str) -> range | list[int]:
@@ -85,14 +82,40 @@ def _parse_bits(spec: str) -> range | list[int]:
     if not bits:
         raise TdcnetError(f"--bits names no bit-width: {spec!r} "
                           "(give LO..HI with LO <= HI, or B1,B2,...)")
-    _check_bits(*((bits[0], bits[-1]) if dots else bits))
+    for b in (bits[0], bits[-1]) if dots else bits:
+        _bit_width(b)
     return bits
 
 
-def _check_bits(*widths: int) -> None:
-    for b in widths:
-        if b not in BITS:
-            raise TdcnetError(f"--bits must lie in {BITS[0]}..{BITS[-1]}, got {b}")
+def _digest(argv: list[str], files: list[str]) -> str:
+    h = hashlib.sha256()
+    for tok in argv:
+        h.update(tok.encode())
+        h.update(b"\0")
+    for path in files:
+        with open(path, "rb") as f:
+            for chunk in iter(functools.partial(f.read, 1 << 16), b""):
+                h.update(chunk)
+    return h.hexdigest()
+
+
+def _write_out(args, text: str) -> None:
+    """Write a report or CSV to --out (`infer`'s --report), or else to stdout."""
+    if args.out:
+        with open(args.out, "w") as f:
+            f.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _emit(args, argv, results, input_files=()):
+    report = {
+        "schema_version": SCHEMA_VERSION,
+        "command": list(argv),
+        "inputs_digest": _digest(list(argv), list(input_files)),
+        "results": results,
+    }
+    _write_out(args, json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
 def _load_weight_file(path: str) -> model.WeightSet:
@@ -157,27 +180,7 @@ def _verify_one(kd: int, s: int, seed: int) -> bool:
     return bool(np.array_equal(got.data, want.data))
 
 
-def _positive(args, *flags) -> None:
-    """Refuse a count flag given as zero or less (None: the flag was not given)."""
-    for flag in flags:
-        value = getattr(args, flag)
-        if value is not None and value < 1:
-            raise TdcnetError(f"--{flag} must be a positive integer, got {value}")
-
-
-def _bounded(args, *flags) -> None:
-    """Refuse a size flag above SIZE_LIMIT before it sizes any array."""
-    for flag in flags:
-        value = getattr(args, flag)
-        if value is not None and value > SIZE_LIMIT:
-            raise TdcnetError(f"--{flag} must be at most {SIZE_LIMIT}, got {value}")
-
-
 def _cmd_verify_tdc(args, argv):
-    _positive(args, "kd", "stride", "trials")
-    _bounded(args, "kd")
-    if args.seed < 0:
-        raise TdcnetError(f"--seed must be a non-negative integer, got {args.seed}")
     if args.kd is not None:
         pairs = [(args.kd, 2 if args.stride is None else args.stride)]
     elif args.stride is not None:
@@ -200,8 +203,6 @@ def _cmd_verify_tdc(args, argv):
 
 
 def _cmd_schedule(args, argv):
-    _positive(args, "kd", "stride", "pes")
-    _bounded(args, "kd")
     layer = DeconvLayerSpec(
         args.kd, args.stride, 1, 1,
         np.arange(1.0, args.kd ** 2 + 1).reshape(1, 1, args.kd, args.kd),
@@ -256,7 +257,6 @@ def _cmd_cycles(args, argv):
         for flag in CUSTOM_FLAGS:
             if flag != "win" and getattr(args, flag) is None:
                 raise TdcnetError(f"--model custom requires --{flag}")
-        _positive(args, *CUSTOM_FLAGS)
         win = args.hin if args.win is None else args.win
         rows = [_cycle_row("custom", args.m, args.n, args.hin, win,
                            args.kd, args.stride, args.tm, args.tn)]
@@ -269,11 +269,14 @@ def _cmd_cycles(args, argv):
     return 0
 
 
-def _cmd_resources(args, argv):
-    _bounded(args, "x", "y", "z", "kd")
+def _fsrcnn(args) -> model.NetworkSpec:
+    """The FSRCNN network that `resources` and `plan` describe, from their flags."""
     cfg = FsrcnnConfig(args.x, args.y, args.z, args.kd, frozenset({args.scale}))
-    net = build_fsrcnn(cfg, args.scale)
-    report = dataflow.resource_report(net, args.alpha, args.bits, args.width)
+    return build_fsrcnn(cfg, args.scale)
+
+
+def _cmd_resources(args, argv):
+    report = dataflow.resource_report(_fsrcnn(args), args.alpha, args.bits, args.width)
     geom = tdc.derive_geometry(args.kd, args.scale)
     za = tdc.zero_analysis(geom, 1, args.x)
     _emit(args, argv, {
@@ -295,10 +298,7 @@ def _cmd_resources(args, argv):
 
 
 def _cmd_plan(args, argv):
-    _bounded(args, "x", "y", "z", "kd")
-    cfg = FsrcnnConfig(args.x, args.y, args.z, args.kd, frozenset({args.scale}))
-    net = build_fsrcnn(cfg, args.scale)
-    plan = dataflow.plan_dataflow(net, args.width, args.bits)
+    plan = dataflow.plan_dataflow(_fsrcnn(args), args.width, args.bits)
     layers = [{
         "name": l.name, "kernel": l.kernel, "in_maps": l.in_maps,
         "out_maps": l.out_maps,
@@ -327,7 +327,6 @@ def _cmd_infer(args, argv):
     kwargs = {}
     if args.mode == "fixed":
         bits = 13 if args.bits is None else args.bits
-        _check_bits(bits)
         q = quant.QFormat(bits, bits - 4)
         kwargs = {"q_weights": q, "q_activations": q}
     out = infer(image, net, args.scale, mode=args.mode, **kwargs)
@@ -341,7 +340,6 @@ def _cmd_infer(args, argv):
 
 
 def _cmd_sweep_bitwidth(args, argv):
-    bits = _parse_bits(args.bits)
     ws = _load_weight_file(args.weights)
     net = ws.network(args.scale)
     exts = (".ppm", ".pgm", ".png")
@@ -352,13 +350,8 @@ def _cmd_sweep_bitwidth(args, argv):
     if not paths:
         raise TdcnetError(f"no .ppm/.pgm/.png images in {args.images}")
     images = [imageio.read_image(p) for p in paths]
-    results = quant.sweep_bitwidth(net, images, bits, args.scale)
-    lines = "bits,psnr_db\n" + "".join(f"{b},{p:.6f}\n" for b, p in results)
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(lines)
-    else:
-        sys.stdout.write(lines)
+    results = quant.sweep_bitwidth(net, images, args.bits, args.scale)
+    _write_out(args, "bits,psnr_db\n" + "".join(f"{b},{p:.6f}\n" for b, p in results))
     return 0
 
 
@@ -380,48 +373,45 @@ def _build_parser() -> argparse.ArgumentParser:
     t.set_defaults(func=_cmd_transform)
 
     v = sub.add_parser("verify-tdc", help="randomized transform-vs-oracle suite")
-    v.add_argument("--kd", type=int)
-    v.add_argument("--stride", type=int)
-    v.add_argument("--trials", type=int, default=100)
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--kd", type=_int_flag("kd", high=SIZE_LIMIT))
+    v.add_argument("--stride", type=_int_flag("stride"))
+    v.add_argument("--trials", type=_int_flag("trials", high=SIZE_LIMIT ** 2), default=100)
+    v.add_argument("--seed", type=_int_flag("seed", low=0), default=0)
     v.add_argument("--out")
     v.set_defaults(func=_cmd_verify_tdc)
 
     s = sub.add_parser("schedule", help="print PE instruction streams and depth")
-    s.add_argument("--kd", type=int, required=True)
-    s.add_argument("--stride", type=int, required=True)
-    s.add_argument("--pes", type=int)
+    s.add_argument("--kd", type=_int_flag("kd", high=SIZE_LIMIT), required=True)
+    s.add_argument("--stride", type=_int_flag("stride"), required=True)
+    s.add_argument("--pes", type=_int_flag("pes", high=SIZE_LIMIT ** 2))
     s.add_argument("--out")
     s.set_defaults(func=_cmd_schedule)
 
     c = sub.add_parser("cycles", help="proposed vs baseline cycle report")
     c.add_argument("--model", choices=["fsrcnn", "dcgan", "custom"], required=True)
     for flag in CUSTOM_FLAGS:
-        c.add_argument(f"--{flag}", type=int)
+        c.add_argument(f"--{flag}", type=_int_flag(flag))
     c.add_argument("--out")
     c.set_defaults(func=_cmd_cycles)
 
-    r = sub.add_parser("resources", help="multiplier/DSP/BRAM resource report")
+    # the FSRCNN network of `resources` and `plan`; FsrcnnConfig allows z = 0
+    fsrcnn = argparse.ArgumentParser(add_help=False)
+    fsrcnn.add_argument("--x", type=_int_flag("x", high=SIZE_LIMIT), required=True)
+    fsrcnn.add_argument("--y", type=_int_flag("y", high=SIZE_LIMIT), required=True)
+    fsrcnn.add_argument("--z", type=_int_flag("z", low=0, high=SIZE_LIMIT), required=True)
+    fsrcnn.add_argument("--kd", type=_int_flag("kd", high=SIZE_LIMIT), required=True)
+    fsrcnn.add_argument("--scale", type=int, required=True)
+    fsrcnn.add_argument("--bits", type=int, default=13)
+    fsrcnn.add_argument("--width", type=int, default=1920)
+
+    r = sub.add_parser("resources", parents=[fsrcnn],
+                       help="multiplier/DSP/BRAM resource report")
     r.add_argument("--model", choices=["fsrcnn"], default="fsrcnn")
-    r.add_argument("--x", type=int, required=True)
-    r.add_argument("--y", type=int, required=True)
-    r.add_argument("--z", type=int, required=True)
-    r.add_argument("--kd", type=int, required=True)
-    r.add_argument("--scale", type=int, required=True)
     r.add_argument("--alpha", type=float, default=0.7)
-    r.add_argument("--bits", type=int, default=13)
-    r.add_argument("--width", type=int, default=1920)
     r.add_argument("--out")
     r.set_defaults(func=_cmd_resources)
 
-    pl = sub.add_parser("plan", help="per-layer dataflow/line-buffer plan")
-    pl.add_argument("--x", type=int, required=True)
-    pl.add_argument("--y", type=int, required=True)
-    pl.add_argument("--z", type=int, required=True)
-    pl.add_argument("--kd", type=int, required=True)
-    pl.add_argument("--scale", type=int, required=True)
-    pl.add_argument("--bits", type=int, default=13)
-    pl.add_argument("--width", type=int, default=1920)
+    pl = sub.add_parser("plan", parents=[fsrcnn], help="per-layer dataflow/line-buffer plan")
     pl.add_argument("--out")
     pl.set_defaults(func=_cmd_plan)
 
@@ -429,7 +419,7 @@ def _build_parser() -> argparse.ArgumentParser:
     i.add_argument("--weights", required=True)
     i.add_argument("--scale", type=int, required=True)
     i.add_argument("--mode", choices=["float", "fixed"], default="float")
-    i.add_argument("--bits", type=int,
+    i.add_argument("--bits", type=_bit_width,
                    help=f"fixed-point width, {BITS[0]}..{BITS[-1]} (default 13)")
     i.add_argument("--in", dest="input", required=True)
     i.add_argument("--out", dest="output", required=True)
@@ -439,7 +429,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sw = sub.add_parser("sweep-bitwidth", help="fixed-vs-float PSNR per bit-width")
     sw.add_argument("--weights", required=True)
     sw.add_argument("--scale", type=int, required=True)
-    sw.add_argument("--bits", default="8..16",
+    sw.add_argument("--bits", type=_parse_bits, default="8..16",
                     help=f"widths LO..HI or B1,B2,..., each {BITS[0]}..{BITS[-1]} "
                          "(default 8..16)")
     sw.add_argument("--images", required=True)
@@ -450,13 +440,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return 2 if e.code not in (0, None) else 0
-    try:
+        args = _build_parser().parse_args(argv)
         return args.func(args, argv)
+    except SystemExit as e:   # argparse's own usage errors and --help
+        return 2 if e.code not in (0, None) else 0
     except (TdcnetError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         # two redundant computations disagreeing is a failed check, not bad input

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -168,6 +169,17 @@ class TestVerify:
         assert report["results"]["configs"] == [
             {"kd": 5, "stride": 2, "trials": 3, "failures": 0}]
 
+    def test_default_sweep(self, capsys, schema):
+        # without --kd: every stride 2..4 with every kernel from the stride to 11
+        code, report = run_json(capsys, ["verify-tdc", "--trials", "1"], schema)
+        assert code == 0 and report["results"]["failures"] == 0
+        configs = report["results"]["configs"]
+        assert [(c["kd"], c["stride"]) for c in configs] == (
+            [(kd, 2) for kd in range(2, 12)] + [(kd, 3) for kd in range(3, 12)]
+            + [(kd, 4) for kd in range(4, 12)])
+        assert len(configs) == 27
+        assert all(c["trials"] == 1 and c["failures"] == 0 for c in configs)
+
 
 class TestDeterminism:
     def test_byte_identical(self, capsys):
@@ -252,6 +264,64 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1
         assert err.startswith(f"error: --{flag} must be at most {cli.SIZE_LIMIT}, got ")
+
+    @pytest.mark.parametrize("argv", [
+        ["schedule", "--kd", "3", "--stride", "2", "--pes", "1000000000"],
+        ["schedule", "--kd", "3", "--stride", "2", "--pes", str(cli.SIZE_LIMIT ** 2 + 1)],
+        ["verify-tdc", "--kd", "3", "--trials", "1000000000"],
+        ["verify-tdc", "--trials", str(cli.SIZE_LIMIT ** 2 + 1)],
+    ], ids=["pes_huge", "pes_past_limit", "trials_huge", "trials_past_limit"])
+    def test_huge_count_flags(self, capsys, argv):
+        # taken as given before: memory grew with --pes, and --trials built its
+        # whole seed list first; only values refused before anything is
+        # allocated are tried here
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        limit = cli.SIZE_LIMIT ** 2
+        assert out == "" and err == f"error: {argv[-2]} must be at most {limit}, got {argv[-1]}\n"
+
+    def test_most_pes(self, capsys):
+        limit = cli.SIZE_LIMIT ** 2
+        code, report = run_json(capsys, ["schedule", "--kd", "2", "--stride", "2",
+                                         "--pes", str(limit)])
+        assert code == 0 and report["results"]["pe_count"] == limit
+
+    @pytest.mark.parametrize("argv,message", [
+        (["resources", "--x", "0", "--y", "12", "--z", "4", "--kd", "9", "--scale", "2"],
+         "--x must be a positive integer, got 0"),
+        (["plan", "--x", "56", "--y", "-2", "--z", "4", "--kd", "9", "--scale", "2"],
+         "--y must be a positive integer, got -2"),
+        (["plan", "--x", "56", "--y", "12", "--z", "-1", "--kd", "9", "--scale", "2"],
+         "--z must be a non-negative integer, got -1"),
+    ], ids=["resources_x", "plan_y", "plan_z"])
+    def test_small_size_flags(self, capsys, argv, message):
+        # the library's "require x >= 1, y >= 1, z >= 0", naming no flag, before
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-tdc", "--kd", "abc"],
+        ["schedule", "--kd", "5", "--stride", "2", "--pes", "1.5"],
+        ["resources", "--y", "12", "--z", "4", "--kd", "9", "--scale", "2", "--x", "x"],
+        ["cycles", "--model", "custom", "--tm", "4e2"],
+    ], ids=["verify_kd", "schedule_pes", "resources_x", "cycles_tm"])
+    def test_non_integer_flag(self, capsys, argv):
+        # argparse's own usage error, which names the flag's type int
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith(f"error: argument {argv[-2]}: invalid int value: '{argv[-1]}'\n")
+
+    @pytest.mark.parametrize("flag", [f for f in CUSTOM_FLAGS if f != "win"])
+    def test_cycles_custom_requires_flag(self, capsys, flag):
+        argv = ["cycles", "--model", "custom"]
+        for name in CUSTOM_FLAGS:
+            if name != flag:
+                argv += [f"--{name}", "2"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: --model custom requires --{flag}\n"
 
     @pytest.mark.parametrize("kd", ["5", "0"])
     def test_cycles_stride_0(self, capsys, kd):
@@ -338,6 +408,18 @@ class TestExitCodes:
             "--bits", bits, "--images", str(imgs)])
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("out", [False, True], ids=["stdout", "out_file"])
+    def test_sweep_without_images(self, capsys, tmp_path, weight_file, out):
+        imgs = tmp_path / "imgs"
+        imgs.mkdir()
+        (imgs / "notes.txt").write_text("not an image")
+        csv = tmp_path / "s.csv"
+        argv = ["sweep-bitwidth", "--weights", weight_file, "--scale", "2", "--images", str(imgs)]
+        assert main(argv + (["--out", str(csv)] if out else [])) == 2
+        out_text, err = capsys.readouterr()
+        assert out_text == "" and err == f"error: no .ppm/.pgm/.png images in {imgs}\n"
+        assert not csv.exists()
+
     def test_bits_with_float_mode(self, capsys, tmp_path, weight_file, rng):
         # accepted and ignored before
         src = tmp_path / "in.pgm"
@@ -422,6 +504,35 @@ class TestInferCli:
         assert lines[0] == "bits,psnr_db"
         assert lines[1].startswith("12,") and lines[2].startswith("13,")
 
+    def test_sweep_csv_out(self, capsys, tmp_path, weight_file, rng):
+        imgs = tmp_path / "imgs"
+        imgs.mkdir()
+        imageio.write_image(imgs / "a.pgm", rng.integers(0, 256, (7, 6)).astype(np.uint8))
+        argv = ["sweep-bitwidth", "--weights", weight_file, "--scale", "2", "--bits", "8..10",
+                "--images", str(imgs)]
+        code, printed = run(capsys, argv)
+        assert code == 0 and printed.count("\n") == 4
+        csv = tmp_path / "s.csv"
+        code, out = run(capsys, argv + ["--out", str(csv)])
+        assert code == 0 and out == "" and csv.read_text() == printed
+
+    def test_report_digest(self, capsys, tmp_path, rng):
+        # sha256 over each argv token and a NUL, then over every input file's
+        # bytes; a weight file spanning several read chunks hashes as if read whole
+        weights, src = tmp_path / "w.json", tmp_path / "in.pgm"
+        weights.write_text(json.dumps(random_weight_doc(rng)) + " " * 300_000)
+        imageio.write_image(src, rng.integers(0, 256, (4, 3)).astype(np.uint8))
+        rep = tmp_path / "r.json"
+        argv = ["infer", "--weights", str(weights), "--scale", "2", "--in", str(src),
+                "--out", str(tmp_path / "out.pgm"), "--report", str(rep)]
+        assert run(capsys, argv) == (0, "")
+        want = hashlib.sha256()
+        for tok in argv:
+            want.update(tok.encode() + b"\0")
+        want.update(weights.read_bytes())
+        want.update(src.read_bytes())
+        assert json.loads(rep.read_text())["inputs_digest"] == want.hexdigest()
+
 
 class TestImageIO:
     def test_ppm_roundtrip(self, tmp_path, rng):
@@ -453,3 +564,30 @@ class TestImageIO:
         path.write_bytes(b"P5\n# a comment\n2 2\n255\n\x01\x02\x03\x04")
         assert np.array_equal(imageio.read_image(path),
                               [[1, 2], [3, 4]])
+
+    @pytest.mark.parametrize("content,match", [
+        (b"P5\n2 2", "truncated PNM header"),
+        (b"P6\n", "truncated PNM header"),
+        (b"P3\n2 2\n255\n1 2 3 4", "not a binary PGM/PPM file"),
+        (b"GIF89a", "not a binary PGM/PPM file"),
+        (b"P5\n2 2\n65535\n" + bytes(8), "only maxval 255"),
+        (b"P6\n1 1\n15\n\x01\x02\x03", "only maxval 255"),
+    ], ids=["no_maxval", "no_width", "ascii_magic", "gif_magic", "maxval_16_bit",
+            "maxval_15"])
+    def test_bad_header_fields(self, tmp_path, content, match):
+        path = tmp_path / "bad.ppm"
+        path.write_bytes(content)
+        with pytest.raises(ConfigurationError, match=match):
+            imageio.read_image(path)
+
+    @pytest.mark.parametrize("image,match", [
+        (np.zeros((2, 2)), "expected uint8 image, got float64"),
+        (np.zeros((2, 2, 3), np.uint16), "expected uint8 image, got uint16"),
+        (np.zeros((2, 2, 4), np.uint8), "unsupported image shape"),
+        (np.zeros(4, np.uint8), "unsupported image shape"),
+    ], ids=["float64", "uint16", "four_channels", "one_dim"])
+    def test_write_refuses(self, tmp_path, image, match):
+        path = tmp_path / "x.ppm"
+        with pytest.raises(ConfigurationError, match=match):
+            imageio.write_image(path, image)
+        assert not path.exists()
