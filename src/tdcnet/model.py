@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
@@ -61,9 +61,16 @@ def tap_map_runs(weights: np.ndarray) -> Optional[tuple[Optional[slice], ...]]:
     entry per tap in (ky, kx) order: a slice of the live maps when they form a
     strided run, as each tap's phases do in a transformed single-map deconv,
     and None (all maps) when every map is live or the pattern is irregular,
-    which is never wrong, only slower.
+    which is never wrong, only slower. Worked out once per live-map pattern.
     """
     live = np.any(weights, axis=1)
+    return _live_runs(live.shape, live.tobytes())
+
+
+@lru_cache(maxsize=256)
+def _live_runs(shape: tuple[int, ...], mask: bytes) -> Optional[tuple[Optional[slice], ...]]:
+    """tap_map_runs of one (M, K, K) live mask, given as its shape and bytes."""
+    live = np.frombuffer(mask, dtype=bool).reshape(shape)
     if live.all():
         return None
     m = live.shape[0]

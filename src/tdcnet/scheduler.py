@@ -61,14 +61,19 @@ class LayerSchedule:
 
     @cached_property
     def depth(self) -> int:
-        """Cycles per window: the largest (m, n) group's taps over the PEs."""
-        groups = np.bincount(self.table["m"] * self.in_maps + self.table["n"])
-        return _ceil_div(int(groups.max(initial=0)), self.pe_count)
+        """Cycles per window: the most instructions one PE of an (m, n) group
+        holds, counted from the `pe` column of a table whose columns lie in
+        range, as simulate_dclp checks."""
+        t = self.table
+        lanes = int(t["pe"].max(initial=0)) + 1     # not pe_count: a million PEs stay cheap
+        return int(np.bincount((t["m"] * self.in_maps + t["n"]) * lanes + t["pe"]).max(initial=0))
 
     @cached_property
     def groups(self) -> Mapping[tuple[int, int], PESchedule]:
         """Read-only (m, n) -> PESchedule view of the table; PE p's stream is
-        every pe_count-th row of the group from its p-th on."""
+        every pe_count-th row of the group from its p-th on. It deals the
+        streams by row order, not from the `pe` column, until ROADMAP item 7
+        deletes it."""
         t, pes = self.table, self.pe_count
         rows = {(m, n): t[(t["m"] == m) & (t["n"] == n)]
                 for m in range(self.out_maps) for n in range(self.in_maps)}
@@ -83,24 +88,32 @@ def schedule_deconv_layer(layer: DeconvLayerSpec, pe_count: int) -> LayerSchedul
     Within a group the phase filters are taken in descending density order
     (stable on ties) and their taps in (y, x) order; tap j of the group goes
     to PE j % pe_count, so each group's depth is ceil(nonzeros / pe_count).
-    One nonzero over the density-ordered (M, N, S^2, K, K) filters yields the
-    whole table in that order.
+    The transformed filters are read as (M*S^2*N, K^2) phase rows: one flat
+    gather puts them in deal order and one flatnonzero over the ordered rows
+    yields every tap in that order.
     """
     if pe_count < 1:
         raise ConfigurationError("pe_count must be >= 1")
     geom = derive_geometry(layer.kernel, layer.scale)
     conv, _ = transform_weights(layer)
     s2, m_maps, n_maps, k = layer.scale ** 2, layer.out_maps, layer.in_maps, conv.kernel
-    filters = conv.weights.reshape(m_maps, s2, n_maps, k, k).transpose(0, 2, 1, 3, 4)
-    order = np.argsort(-np.count_nonzero(filters, axis=(3, 4)), axis=2, kind="stable")
-    ordered = np.take_along_axis(filters, order[..., None, None], axis=2)
-    m, n, rank, y, x = np.nonzero(ordered)
-    group = m * n_maps + n                       # ascending: np.nonzero is row-major
-    table = np.empty(len(m), dtype=INSTRUCTION)
-    table["m"], table["n"], table["y"], table["x"] = m, n, y, x
-    table["pe"] = (np.arange(len(m)) - np.searchsorted(group, group)) % pe_count
-    table["phase"] = order[m, n, rank]
-    table["weight"] = ordered[m, n, rank, y, x]
+    rows = conv.weights.reshape(-1, k * k)                   # row (m*S^2 + p)*N + n
+    density = np.count_nonzero(rows, axis=1)
+    phase = np.argsort(-density.reshape(m_maps, s2, n_maps), axis=1, kind="stable")
+    m, n, phase = (a.ravel() for a in np.broadcast_arrays(   # per row in (m, n, rank) order
+        np.arange(m_maps)[:, None, None], np.arange(n_maps)[:, None], phase.transpose(0, 2, 1)))
+    src = (m * s2 + phase) * n_maps + n
+    ordered, taps = rows[src], density[src]
+    pos = np.flatnonzero(ordered)
+    yx = pos - np.repeat(np.arange(0, ordered.size, k * k), taps)    # within its row
+    y = yx // k
+    totals = taps.reshape(-1, s2).sum(axis=1)                # per (m, n) group
+    table = np.empty(len(pos), dtype=INSTRUCTION)
+    table["m"], table["n"] = np.repeat(m, taps), np.repeat(n, taps)
+    table["pe"] = (np.arange(len(pos)) - np.repeat(np.cumsum(totals) - totals, totals)) % pe_count
+    table["phase"] = np.repeat(phase, taps)
+    table["y"], table["x"] = y, yx - y * k
+    table["weight"] = ordered.ravel()[pos]
     table.flags.writeable = False
     return LayerSchedule(geom, conv, m_maps, n_maps, pe_count, table)
 
@@ -110,10 +123,11 @@ def simulate_dclp(x: Tensor3, schedule: LayerSchedule, geometry: TdcGeometry,
     """Behavioral run of the scheduled PE array over every sliding window.
 
     One bincount over the table adds every instruction's weight into the filter
-    tap its row names (a map, phase or position outside the layer is rejected,
-    not aliased); the rebuilt filters run through the conv executor, so a
-    dropped, duplicated or misplaced instruction changes the output, which must
-    equal the transformed-layer convolution. Cycles follow the analytic model.
+    tap its row names (a map, PE, phase or position outside the layer is
+    rejected, not aliased); the rebuilt filters run through the conv executor,
+    so a dropped, duplicated or misplaced instruction changes the output, which
+    must equal the transformed-layer convolution. Cycles follow the analytic
+    model at the table's depth.
     """
     if in_tile < 1:
         raise ConfigurationError(f"in_tile must be >= 1, got {in_tile}")
@@ -128,7 +142,8 @@ def simulate_dclp(x: Tensor3, schedule: LayerSchedule, geometry: TdcGeometry,
     k, pb = conv.kernel, conv.pad_before
     s2 = geometry.stride ** 2
     t = schedule.table
-    for col, hi in (("m", schedule.out_maps), ("n", n_in), ("phase", s2), ("y", k), ("x", k)):
+    for col, hi in (("m", schedule.out_maps), ("n", n_in), ("pe", schedule.pe_count),
+                    ("phase", s2), ("y", k), ("x", k)):
         if t.size and (t[col].min() < 0 or t[col].max() >= hi):
             raise ScheduleMismatchError(f"an instruction's {col} is outside [0, {hi})")
     index = (((t["m"] * s2 + t["phase"]) * n_in + t["n"]) * k + t["y"]) * k + t["x"]

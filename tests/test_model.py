@@ -4,9 +4,10 @@ import pytest
 from tdcnet.errors import (ConfigurationError, DimensionError,
                            WeightFormatError)
 from tdcnet.model import (ConvLayerSpec, DeconvLayerSpec, FsrcnnConfig,
-                          NetworkSpec, Tensor3, build_fsrcnn, conv_layer,
+                          NetworkSpec, Tensor3, _live_runs, build_fsrcnn, conv_layer,
                           load_weights, parse_weights, same_padding,
-                          save_weights)
+                          save_weights, tap_map_runs)
+from tdcnet.tdc import transform_weights
 
 from conftest import random_weight_doc
 
@@ -52,6 +53,53 @@ class TestLayerSpecs:
         c = conv_layer(3, 1, 1, np.zeros((1, 1, 3, 3)))
         with pytest.raises(ConfigurationError):
             NetworkSpec((d, c))
+
+
+def _runs_by_loop(weights):
+    """tap_map_runs without its memo: the per-tap loop over a fresh live mask."""
+    live = np.any(weights, axis=1)
+    if live.all():
+        return None
+    m = live.shape[0]
+    runs = []
+    for t in range(live[0].size):
+        idx = np.flatnonzero(live.reshape(m, -1)[:, t]).tolist()
+        if not idx:
+            runs.append(slice(0, 0))
+            continue
+        step = idx[1] - idx[0] if len(idx) > 1 else 1
+        strided = len(idx) < m and idx == list(range(idx[0], idx[-1] + 1, step))
+        runs.append(slice(idx[0], idx[-1] + 1, step) if strided else None)
+    return tuple(runs)
+
+
+class TestTapMapRuns:
+    def test_equal_masks_share_runs(self, rng):
+        # the s = 4 transform of a dense single-map deconv, and int64 codes
+        # with other values on the same zeros
+        dec = DeconvLayerSpec(9, 4, 1, 2, rng.integers(1, 9, (1, 2, 9, 9)), np.zeros(1))
+        w = transform_weights(dec)[0].weights
+        codes = np.where(w != 0, rng.integers(-50, 50, w.shape) | 1, 0).astype(np.int64)
+        runs = tap_map_runs(w)
+        assert runs == (None, None, slice(3, 16, 4), None, None, slice(3, 16, 4),
+                        slice(12, 16, 1), slice(12, 16, 1), slice(15, 16, 1)) == _runs_by_loop(w)
+        assert tap_map_runs(codes) is runs
+
+    def test_dense_dead_and_irregular_taps(self):
+        w = np.ones((4, 2, 2, 2))
+        assert tap_map_runs(w) is None
+        w[:, :, 0, 1] = 0                                # no live map
+        w[[1, 3], :, 1, 0] = 0                           # maps 0, 2: a strided run
+        w[2, 0, 1, 1] = w[2, 1, 1, 1] = 0                # maps 0, 1, 3: irregular
+        assert tap_map_runs(w) == (None, slice(0, 0), slice(0, 3, 2), None)
+
+    def test_sweep_past_the_cache_bound(self, rng):
+        masks = rng.random((_live_runs.cache_info().maxsize + 60, 9, 1, 3, 3)) < 0.6
+        for _ in range(2):                               # the second pass recomputes evicted runs
+            for i, live in enumerate(masks):
+                w = live * rng.integers(1, 9, live.shape)
+                w = w.astype(np.float64 if i % 2 else np.int64)
+                assert tap_map_runs(w) == _runs_by_loop(w)
 
 
 class TestBuildFsrcnn:

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tdcnet.errors import ConfigurationError, ScheduleMismatchError
 from tdcnet.model import DeconvLayerSpec, Tensor3
@@ -36,6 +38,17 @@ def _dealt(conv, s2, pe_count):
             rows += [(m, n, j % pe_count, p, y, x, filters[p, y, x])
                      for j, (p, y, x) in enumerate(taps)]
     return rows
+
+
+@st.composite
+def _deal_cases(draw):
+    """(kd, s, m, n, PEs up to past a group's kd^2 taps, share of zeroed
+    weights, seed)."""
+    s = draw(st.integers(2, 4))
+    kd = draw(st.integers(s, 11))
+    return (kd, s, draw(st.integers(1, 3)), draw(st.integers(1, 3)),
+            draw(st.integers(1, kd * kd + 2)), draw(st.sampled_from([0.0, 0.5, 0.9, 1.0])),
+            draw(st.integers(0, 2 ** 32 - 1)))
 
 
 class TestBuildSchedule:
@@ -78,6 +91,22 @@ class TestBuildSchedule:
         counts = [len(sched.table[(sched.table["m"] == m) & (sched.table["n"] == n)])
                   for m in range(layer.out_maps) for n in range(layer.in_maps)]
         assert sched.depth == _ceil(max(counts), pes)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_deal_cases())
+    @example((5, 2, 2, 3, 4, 1.0, 0))                   # the all-zero layer: an empty table
+    def test_table_equals_the_dealer(self, case):
+        kd, s, m, n, pes, zeros, seed = case
+        rng = np.random.default_rng(seed)
+        # weights in -2..2 plus a zeroed share: phase densities tie and differ
+        w = rng.integers(-2, 3, (m, n, kd, kd)) * (rng.random((m, n, kd, kd)) >= zeros)
+        layer = DeconvLayerSpec(kd, s, m, n, w.astype(float), np.zeros(m))
+        sched = schedule_deconv_layer(layer, pes)
+        want = np.array(_dealt(sched.conv, s * s, pes), dtype=INSTRUCTION)
+        assert sched.table.dtype == INSTRUCTION and not sched.table.flags.writeable
+        assert sched.table.tobytes() == want.tobytes()
+        counts = np.bincount(want["m"] * n + want["n"], minlength=m * n)
+        assert sched.depth == _ceil(int(counts.max()), pes)
 
     def test_groups_view(self, rng):
         layer = random_deconv(rng, 7, 3, m=2, n=3, lo=-2, hi=3)
@@ -154,7 +183,8 @@ class TestSimulateDclp:
         with pytest.raises(ScheduleMismatchError):
             simulate_dclp(Tensor3(np.ones((1, 3, 3))), bad, bad.geometry, in_tile=1)
 
-    @pytest.mark.parametrize("col,value", [("m", 2), ("m", -1), ("n", 1), ("n", -1)])
+    @pytest.mark.parametrize("col,value", [("m", 2), ("m", -1), ("n", 1), ("n", -1),
+                                           ("pe", 4), ("pe", -1)])
     def test_instruction_outside_maps(self, rng, col, value):
         layer = random_deconv(rng, 5, 2, m=2, n=1, lo=1)
         sched = schedule_deconv_layer(layer, 4)
@@ -163,6 +193,18 @@ class TestSimulateDclp:
         bad = dataclasses.replace(sched, table=table)
         with pytest.raises(ScheduleMismatchError):
             simulate_dclp(Tensor3(np.ones((1, 3, 3))), bad, bad.geometry, in_tile=1)
+
+
+    def test_depth_reads_the_pe_column(self, rng):
+        # 25 taps dealt over 4 PEs are 7 deep; piled onto PE 0 they are 25 deep
+        layer = random_deconv(rng, 5, 2, m=1, n=1, lo=1)
+        sched = schedule_deconv_layer(layer, 4)
+        table = sched.table.copy()
+        table["pe"] = 0
+        piled = dataclasses.replace(sched, table=table)
+        x = Tensor3(np.ones((1, 3, 3)))
+        assert (sched.depth, simulate_dclp(x, sched, sched.geometry, 1)[1]) == (7, 7 * 9)
+        assert (piled.depth, simulate_dclp(x, piled, piled.geometry, 1)[1]) == (25, 25 * 9)
 
 
 class TestCycleModels:
