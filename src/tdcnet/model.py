@@ -8,6 +8,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import groupby
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
@@ -88,28 +89,49 @@ def _live_runs(shape: tuple[int, ...], mask: bytes) -> Optional[tuple[Optional[s
 
 class ConvOperands(NamedTuple):
     """A layer's weights and bias in the layout `reference.conv_taps` reads,
-    in one dtype: `weights` stacked (M, N*K*K), in (n, ky, kx) order, where
-    K = 1 or N*K*K <= M, else tap-major (K, K, M, N); `bias` as an (M, 1)
-    column; `tap_maps` the layer's tap_map_runs."""
+    in one dtype: `weights` the (M, K*N) matrix of each kernel column, with
+    [kx, m, ky*N + n] = w[m, n, ky, kx], stacked (M, K*K*N) where K = 1 or
+    N*K*K <= M, else (K, 1, M, K*N); `bias` as an (M, 1) column; `runs` None
+    for stacked or dense weights, else each gemm of the column matrices in
+    (kx, ky) order: (kx, j0, j1, maps) contracts rows j0..j1 - 1 of column kx
+    (whole kernel rows) into output maps `maps`."""
 
     kernel: int
     weights: np.ndarray
     bias: np.ndarray
-    tap_maps: Optional[tuple[Optional[slice], ...]]
+    runs: Optional[tuple[tuple[int, int, int, slice], ...]]
 
 
 def conv_operands(weights, bias, tap_maps=None, dtype=None) -> ConvOperands:
     """(M, N, K, K) weights and (M,) bias as read-only ConvOperands in `dtype`
     (the weights' when None), the weights C-contiguous, as the gemms read
-    their tap matrices fastest. Build them once per layer: every conv_taps
-    call reads them as they are."""
+    their matrices fastest. `tap_maps` is the layer's tap_map_runs: each run
+    of consecutive kernel rows in a column whose taps share one slice of live
+    maps becomes one gemm over those maps, and dead taps none. Build them once
+    per layer: every conv_taps call reads them as they are."""
     weights = np.asarray(weights)
     m, n, k, _ = weights.shape
-    w = weights.reshape(m, -1) if k == 1 or n * k * k <= m else weights.transpose(2, 3, 0, 1)
-    w = np.ascontiguousarray(w, weights.dtype if dtype is None else dtype)
+    dtype = weights.dtype if dtype is None else dtype
+    runs = None
+    w = np.ascontiguousarray(weights.transpose(3, 0, 2, 1), dtype)      # (kx, m, ky, n)
+    if k == 1 or n * k * k <= m:
+        w = np.ascontiguousarray(w.transpose(1, 0, 2, 3)).reshape(m, -1)
+    else:
+        w = w.reshape(k, 1, m, k * n)
+        if tap_maps is not None:
+            runs, live = [], range(m)
+            for kx in range(k):
+                j = 0
+                for maps, taps in groupby(tap_maps[kx::k]):        # ky order
+                    maps = slice(None) if maps is None else maps
+                    span = n * len(list(taps))
+                    if live[maps]:
+                        runs.append((kx, j, j + span, maps))
+                    j += span
+            runs = tuple(runs)
     b = np.asarray(bias, w.dtype).reshape(m, 1)
     w.flags.writeable = b.flags.writeable = False
-    return ConvOperands(k, w, b, tap_maps)
+    return ConvOperands(k, w, b, runs)
 
 
 def steep_maps(slopes) -> Optional[np.ndarray]:

@@ -222,7 +222,7 @@ def quantized_conv_rows(qlayer: QuantizedLayer, padded: np.ndarray,
     bits, qa = qnet.q_weights.frac_bits, qnet.q_activations
     slopes, steep, rint, exact = next(e for q, e in zip(qnet.layers, qnet._epilogues)
                                       if q is qlayer)
-    acc = sums = conv_taps(np.asarray(padded, dtype=np.float64), qlayer.operands)
+    acc = sums = conv_taps(padded.astype(np.float64, order="K", copy=False), qlayer.operands)
     if rint:
         if slopes is not None:
             _prelu_into(sums, steep, lambda v: np.rint(cv := v * slopes, out=cv))
@@ -236,7 +236,7 @@ def quantized_conv_rows(qlayer: QuantizedLayer, padded: np.ndarray,
                 f"fixed-point sums reach 2**62 in a layer at weights {qnet.q_weights}, "
                 f"activations {qa}; int64 accumulation could wrap")
         else:
-            acc = conv_taps(np.asarray(padded, dtype=np.int64), qlayer.int_operands)
+            acc = conv_taps(padded.astype(np.int64, order="K", copy=False), qlayer.int_operands)
         odd = np.empty(acc.shape, dtype=np.int8)
         if slopes is not None:
             slope = qlayer.prelu_raw[:, None, None]
@@ -286,16 +286,16 @@ class _Layer:
             raise DimensionError(f"input channels {n} != layer in_maps {self.spec.in_maps}")
         if k == 1:
             return rows
-        c = pb if self.carry is None else self.carry.shape[1]
-        block = np.zeros((n, c + r + pad, w + k - 1))
+        c = pb if self.carry is None else len(self.carry)
+        block = np.zeros((c + r + pad, n, w + k - 1))      # row-interleaved, as conv_taps reads
         if self.carry is not None:
-            block[:, :c] = self.carry
-        block[:, c:c + r, pb:pb + w] = rows
-        if block.shape[1] < k:
+            block[:c] = self.carry
+        block[c:c + r, :, pb:pb + w] = rows.transpose(1, 0, 2)
+        if len(block) < k:
             self.carry = block
             return None
-        self.carry = block[:, block.shape[1] - (k - 1):].copy()
-        return block
+        self.carry = block[len(block) - (k - 1):].copy()
+        return block.transpose(1, 0, 2)
 
     def __call__(self, block: np.ndarray) -> np.ndarray:
         """The (M, R, W) output rows of a block, phases moved to space for a deconv."""

@@ -9,6 +9,7 @@ result does not depend on how many rows its block holds, and integer codes
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from typing import Optional
@@ -20,7 +21,7 @@ from .model import ConvLayerSpec, ConvOperands, DeconvLayerSpec, Tensor3
 
 _TILE_PIXELS = 3072       # batch row tile, in input pixels: 32 rows of a 96-wide plane
 _SCRATCH_BYTES = 32 * 8 * _TILE_PIXELS    # any one per-push temporary: 32 float64 maps of a tile
-# products of one conv_taps matmul call over whole kernel rows: in 160-wide streaming
+# products of one conv_taps matmul call over kernel columns: in 160-wide streaming
 # the p50 falls up to 256 KiB, and the tracemalloc peak holds to 512 KiB but grows 2%
 # at the whole budget
 _GROUP_BYTES = _SCRATCH_BYTES // 3    # 256 KiB
@@ -31,78 +32,68 @@ def _rows_within(row_bytes: int, held: int = 0) -> int:
     return max(1, _SCRATCH_BYTES // row_bytes - held)
 
 
-def _tap_windows(padded: np.ndarray, k: int) -> np.ndarray:
-    """The zero-copy (K, K, R, N, W) view of a padded (N, R + K - 1, W + K - 1)
-    block whose [ky, kx] holds the (R, N, W) input rows of tap (ky, kx), as a
-    plain ndarray on the buffer of the block, made contiguous first (every
-    block the library builds already is)."""
-    padded = np.ascontiguousarray(padded)
-    n, hp, wp = padded.shape
-    sn, sh, sw = padded.strides
-    shape, strides = (k, k, hp - k + 1, n, wp - k + 1), (sh, sw, sh, sn, sw)
-    return np.ndarray(shape, padded.dtype, padded, 0, strides)
+def _padded_block(x: np.ndarray, k: int, pad_before: int) -> np.ndarray:
+    """(N, H, W) maps zero-padded to a (N, H + K - 1, W + K - 1) block with
+    `pad_before` rows and columns in front, in the row-interleaved memory
+    conv_taps reads."""
+    n, h, w = x.shape
+    rows = np.zeros((h + k - 1, n, w + k - 1))
+    rows[pad_before:pad_before + h, :, pad_before:pad_before + w] = x.transpose(1, 0, 2)
+    return rows.transpose(1, 0, 2)
 
 
 def conv_taps(padded: np.ndarray, ops: ConvOperands) -> np.ndarray:
     """Bias plus the valid stride-1 convolution of a padded block: the one conv
     kernel of every float and fixed-point layer.
 
-    `padded` is (N, R + K - 1, W + K - 1) and `ops` the layer's (M, N, K, K)
-    weights and bias as model.conv_operands lays them out, built once per
-    layer; returns the (M, R, W) sums in the common dtype of the block and the
-    operands (float64 or int64), as a view of an (R, M, W) buffer. Each output
-    row is contracted by matmuls of one fixed shape: where the operands are
-    stacked (K = 1 or N*K*K <= M), one (M, N*K*K) x (N*K*K, W) product over
-    the row's stacked tap windows (for K = 1 the row itself); otherwise, per
-    tap (ky, kx) in order, one (M_t, N) x (N, W) product over the maps
-    `ops.tap_maps[ky * K + kx]` selects (all M where it or `tap_maps` is
-    None), added into the row's sums. A row's arithmetic thus depends on
-    (M, N, K, W) and the tap plan, never on R or on where the block lies, so a
-    one-row block and a whole plane agree bit for bit as long as the BLAS
-    gives a gemm of fixed shape the same bits wherever its operands sit
-    (test_conv_taps_rows_independent). int64 runs numpy's exact integer
-    matmul. Skipping only maps whose weights at that tap are all zero leaves
-    every sample unchanged as long as the input is finite.
-
-    Every tap window is read from one view of the block (_tap_windows); the
-    stacked windows are one reshape copy of it. A dense layer (`tap_maps`
-    None) whose products of g whole kernel rows fit _GROUP_BYTES makes one
-    broadcast matmul per g kernel rows, (g, K, 1, M, N) tap matrices against
-    (g, K, R, N, W) windows: numpy still runs each (tap, row) gemm on its own,
-    of the same shape on the same operands, and each tap's product is still
-    added on its own in tap order, so the grouping changes no bit. (Summing a
-    group in one reduction would, as numpy sums pairwise.) Other layers, and
-    blocks too tall for the bound, make one matmul call per tap.
+    `padded` is (N, R + K - 1, W + K - 1), held row-interleaved as line
+    buffers hold it, a view of (R + K - 1, N, W + K - 1) memory (any other
+    block is copied into that memory once); `ops` are model.conv_operands,
+    built once per layer. Returns the (M, R, W) sums in the common dtype of
+    the block and the operands (float64 or int64), a view of an (R, M, W)
+    buffer. Each output row is contracted by matmuls of fixed shapes: where
+    the operands are stacked, one (M, N*K*K) x (N*K*K, W) product over the
+    row's stacked tap windows (for K = 1 the row itself, read in place);
+    otherwise, per kernel column kx in order, one (M, K*N) x (K*N, W)
+    product, its K*N input rows (ky, n) one zero-copy matrix of row stride
+    W + K - 1 starting kx samples in (in a sparse layer, one product per run
+    of `ops.runs`; skipping maps whose weights are all zero there changes no
+    sample of finite input), added into the row's sums. A row's arithmetic
+    thus never depends on R or on where the block lies, so a one-row block
+    and a whole plane agree bit for bit as long as the BLAS gives a gemm of
+    fixed shape and leading dimensions the same bits wherever its operands
+    sit (test_conv_taps_rows_independent). int64 runs numpy's exact integer
+    matmul. A dense layer makes one broadcast matmul per group of columns
+    whose products fit _GROUP_BYTES: numpy still runs each (column, row)
+    gemm on its own, and each column is still added on its own, in order, so
+    the grouping changes no bit. (Summing a group in one reduction would, as
+    numpy sums pairwise.)
     """
-    k, taps, bias, tap_maps = ops
+    k, wts, bias, runs = ops
     m = bias.shape[0]
-    r, w = padded.shape[1] - (k - 1), padded.shape[2] - (k - 1)
-    acc = np.empty((r, m, w), dtype=np.result_type(padded, taps))
-    if taps.ndim == 2:                                       # stacked
-        stack = padded.transpose(1, 0, 2) if k == 1 else (     # (R, N*K*K, W)
-            _tap_windows(padded, k).transpose(2, 3, 0, 1, 4).reshape(r, -1, w))
-        np.matmul(taps, stack, out=acc)
+    rows = np.ascontiguousarray(padded.transpose(1, 0, 2))     # (R + K - 1, N, W + K - 1)
+    hp, n, wp = rows.shape
+    r, w, s = hp - (k - 1), wp - (k - 1), rows.itemsize
+    acc = np.empty((r, m, w), dtype=np.result_type(rows, wts))
+    cols = np.ndarray((k, r, k * n, w), rows.dtype, rows, 0, (s, n * wp * s, wp * s, s))
+    if wts.ndim == 2:                                        # stacked
+        np.matmul(wts, cols.transpose(1, 0, 2, 3).reshape(r, -1, w), out=acc)
         acc += bias
         return acc.transpose(1, 0, 2)
     acc[...] = bias
-    win = _tap_windows(padded, k)
-    g = min(k, _GROUP_BYTES // (k * acc.nbytes)) if tap_maps is None and acc.size else 0
-    if g:
-        prods = np.empty((g, k, r, m, w), acc.dtype)
+    if runs is None:
+        g = max(1, min(k, _GROUP_BYTES // (acc.nbytes or 1)))
+        prods = np.empty((g, r, m, w), acc.dtype)
         for a in range(0, k, g):
-            prod = np.matmul(taps[a:a + g, :, None], win[a:a + g], out=prods[:min(g, k - a)])
-            for tap in prod.reshape(-1, r, m, w):            # (ky, kx) order
-                acc += tap
+            for prod in np.matmul(wts[a:a + g], cols[a:a + g], out=prods[:min(g, k - a)]):
+                acc += prod
         return acc.transpose(1, 0, 2)
     tmp = np.empty_like(acc)
-    for t, sl in enumerate(tap_maps or (None,) * (k * k)):
-        ky, kx = divmod(t, k)
-        sl = slice(None) if sl is None else sl
-        wt = taps[ky, kx, sl]
-        if len(wt):
-            prod = tmp[:, :len(wt)]
-            np.matmul(wt, win[ky, kx], out=prod)
-            acc[:, sl] += prod
+    for kx, j0, j1, maps in runs:
+        wt = wts[kx, 0, maps, j0:j1]
+        prod = tmp[:, :len(wt)]
+        np.matmul(wt, cols[kx, :, j0:j1], out=prod)
+        acc[:, maps] += prod
     return acc.transpose(1, 0, 2)
 
 
@@ -136,11 +127,7 @@ def conv2d(x: Tensor3, layer: ConvLayerSpec) -> Tensor3:
     """
     if x.channels != layer.in_maps:
         raise DimensionError(f"input channels {x.channels} != layer in_maps {layer.in_maps}")
-    n_in, h, w = x.data.shape
-    k, pb = layer.kernel, layer.pad_before
-    padded = np.zeros((n_in, h + k - 1, w + k - 1))
-    padded[:, pb:pb + h, pb:pb + w] = x.data
-    return Tensor3(conv_rows(padded, layer))
+    return Tensor3(conv_rows(_padded_block(x.data, layer.kernel, layer.pad_before), layer))
 
 
 def deconv2d_canvas(x: Tensor3, layer: DeconvLayerSpec) -> Tensor3:
@@ -236,10 +223,14 @@ def _phase_weights(n: int, scale: int) -> np.ndarray:
     return wgts[..., 0].copy() if (wgts == wgts[..., :1]).all() else wgts
 
 
+@functools.lru_cache(maxsize=32)
 def _bicubic_weights(h: int, w: int, scale: int) -> tuple[np.ndarray, np.ndarray]:
-    """The weights _bicubic_planes reads for (H, W) planes, built once per image:
-    of the rows, and of the columns and their 4 edge-padding ones."""
-    return _phase_weights(h, scale), _phase_weights(w + 4, scale)
+    """The weights _bicubic_planes reads for (H, W) planes, built once per
+    shape and kept, read-only, in a bounded cache: of the rows, and of the
+    columns and their 4 edge-padding ones."""
+    rows, cols = _phase_weights(h, scale), _phase_weights(w + 4, scale)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
 
 
 def _bicubic_planes(planes: np.ndarray, weights: tuple[np.ndarray, np.ndarray],

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ScheduleMismatchError
 from .model import ConvLayerSpec, DeconvLayerSpec, Tensor3, conv_operands, tap_map_runs
-from .reference import conv_taps
+from .reference import _padded_block, conv_taps
 from .tdc import TdcGeometry, derive_geometry, transform_weights
 
 INSTRUCTION = np.dtype([("m", np.intp), ("n", np.intp), ("pe", np.intp), ("phase", np.intp),
@@ -139,7 +139,7 @@ def simulate_dclp(x: Tensor3, schedule: LayerSchedule, geometry: TdcGeometry,
             f"input channels {x.channels} != schedule in_maps {conv.in_maps}"
         )
     n_in, h, w = x.data.shape
-    k, pb = conv.kernel, conv.pad_before
+    k = conv.kernel
     s2 = geometry.stride ** 2
     t = schedule.table
     for col, hi in (("m", schedule.out_maps), ("n", n_in), ("pe", schedule.pe_count),
@@ -148,9 +148,8 @@ def simulate_dclp(x: Tensor3, schedule: LayerSchedule, geometry: TdcGeometry,
             raise ScheduleMismatchError(f"an instruction's {col} is outside [0, {hi})")
     index = (((t["m"] * s2 + t["phase"]) * n_in + t["n"]) * k + t["y"]) * k + t["x"]
     filters = np.bincount(index, t["weight"], conv.weights.size).reshape(conv.weights.shape)
-    padded = np.zeros((n_in, h + k - 1, w + k - 1))
-    padded[:, pb:pb + h, pb:pb + w] = x.data
-    out = conv_taps(padded, conv_operands(filters, conv.bias, tap_map_runs(filters)))
+    out = conv_taps(_padded_block(x.data, k, conv.pad_before),
+                    conv_operands(filters, conv.bias, tap_map_runs(filters)))
     cycles = _cycles(conv.out_maps, schedule.pe_count, schedule.in_maps, in_tile,
                      h, w, schedule.depth)
     return Tensor3(out), cycles

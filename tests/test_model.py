@@ -5,6 +5,7 @@ from tdcnet.errors import (ConfigurationError, DimensionError,
                            WeightFormatError)
 from tdcnet.model import (ConvLayerSpec, DeconvLayerSpec, FsrcnnConfig,
                           NetworkSpec, Tensor3, _live_runs, build_fsrcnn, conv_layer,
+                          conv_operands,
                           load_weights, parse_weights, same_padding,
                           save_weights, tap_map_runs)
 from tdcnet.tdc import transform_weights
@@ -100,6 +101,40 @@ class TestTapMapRuns:
                 w = live * rng.integers(1, 9, live.shape)
                 w = w.astype(np.float64 if i % 2 else np.int64)
                 assert tap_map_runs(w) == _runs_by_loop(w)
+
+
+class TestConvOperands:
+    @pytest.mark.parametrize("m, n, k", [(1, 1, 1), (9, 1, 3), (4, 1, 3), (12, 12, 3), (3, 2, 5)])
+    def test_stacked_or_column_layout(self, rng, m, n, k):
+        w = rng.normal(size=(m, n, k, k))
+        ops = conv_operands(w, np.zeros(m))
+        stacked = k == 1 or n * k * k <= m
+        assert ops.weights.shape == ((m, k * k * n) if stacked else (k, 1, m, k * n))
+        cols = ops.weights[:, 0] if not stacked else (
+            ops.weights.reshape(m, k, k * n).transpose(1, 0, 2))      # [kx, m, ky * N + n]
+        for mm, nn, ky, kx in np.ndindex(w.shape):
+            assert cols[kx, mm, ky * n + nn] == w[mm, nn, ky, kx]
+        assert ops.weights.flags.c_contiguous and not ops.weights.flags.writeable
+
+    def test_s4_deconv_columns_make_six_gemms(self, rng):
+        # K_C = 3 columns of 3 taps, 9 tap gemms: each column's two taps of
+        # one live slice share a gemm, and the issued MACs stay those of the taps
+        dec = DeconvLayerSpec(9, 4, 1, 2, rng.integers(1, 9, (1, 2, 9, 9)), np.zeros(1))
+        conv = transform_weights(dec)[0]
+        runs = conv_operands(conv.weights, conv.bias, conv.tap_maps).runs
+        everything, last4, every4th = slice(None), slice(12, 16, 1), slice(3, 16, 4)
+        assert runs == ((0, 0, 4, everything), (0, 4, 6, last4), (1, 0, 4, everything),
+                        (1, 4, 6, last4), (2, 0, 4, every4th), (2, 4, 6, slice(15, 16, 1)))
+        live = range(16)
+        assert (sum((j1 - j0) * len(live[maps]) for _, j0, j1, maps in runs)
+                == sum(2 * len(live[sl or everything]) for sl in conv.tap_maps))
+
+    def test_dead_taps_make_no_gemm(self):
+        w = np.ones((4, 2, 2, 2))
+        w[:, :, :, 1] = 0                                # column 1 dead
+        w[1:, :, 1, 0] = 0                               # map 0 alone at tap (1, 0)
+        runs = conv_operands(w, np.zeros(4), tap_map_runs(w)).runs
+        assert runs == ((0, 0, 2, slice(None)), (0, 2, 4, slice(0, 1, 1)))
 
 
 class TestBuildFsrcnn:

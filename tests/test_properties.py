@@ -2,10 +2,10 @@
 its float64 and its int64 contraction, with slopes on both sides of 1)
 against an independent sliding-window reference (dense and skipping zero
 maps), the float PReLU against its oracle, the kernel's float rows against
-one-row blocks and against other batchings of its per-tap gemms, the
-transform against the canvas oracle, the DCLP simulator against faulty
-schedules, streaming against batch inference, and the weight-file and PNM
-round trips."""
+one-row blocks, against other batchings of its column gemms and across
+block layouts, the transform against the canvas oracle, the DCLP simulator
+against faulty schedules, streaming against batch inference, and the
+weight-file and PNM round trips."""
 import dataclasses
 import json
 import math
@@ -31,7 +31,7 @@ from tdcnet.quant import (QFormat, QuantizedLayer, QuantizedNetwork,
                           quantized_conv_rows)
 from tdcnet.reference import conv2d, conv_rows, conv_taps, prelu
 from tdcnet.scheduler import schedule_deconv_layer, simulate_dclp
-from tdcnet.tdc import deconv_oracle, deconv_via_transform
+from tdcnet.tdc import deconv_oracle, deconv_via_transform, transform_weights
 
 from conftest import random_deconv, random_net
 
@@ -159,6 +159,46 @@ def test_conv_taps_grouping_changes_nothing(case, dtype):
     assert got[0].dtype == dtype
     assert all(_same_bits(a, got[0]) for a in got[1:])
     assert _same_bits(conv_taps(padded, ops), got[0])
+
+
+def _same_bits_in_both_layouts(padded, weights, bias, dtype):
+    """conv_taps of one logical block held in C order and row-interleaved,
+    as (rows, N, width) memory: one copy into that memory, or none, gives the
+    same gemms, so the same bits, in float64 and in int64 (values times 64,
+    rounded)."""
+    if dtype == np.int64:
+        padded, weights, bias = (np.rint(a * 64).astype(np.int64) for a in (padded, weights, bias))
+    ops = conv_operands(weights, bias, tap_map_runs(weights))
+    got = conv_taps(np.ascontiguousarray(padded), ops)
+    interleaved = np.ascontiguousarray(padded.transpose(1, 0, 2)).transpose(1, 0, 2)
+    assert got.dtype == dtype and _same_bits(got, conv_taps(interleaved, ops))
+
+
+@settings(max_examples=120, deadline=None)
+@given(float_row_blocks(), st.booleans(), st.sampled_from([np.float64, np.int64]))
+def test_conv_taps_layout_independent(case, dense, dtype):
+    # stacked, dense (no zeroed map) and sparse plans
+    padded, weights, bias = case
+    if dense:
+        weights = np.where(weights == 0, 0.5, weights)
+    _same_bits_in_both_layouts(padded, weights, bias, dtype)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([np.float64, np.int64]))
+def test_conv_taps_layout_independent_on_deconvs(seed, dtype):
+    # the transformed deconv of every s in 2..5 and K_D in s..11, its
+    # structural zeros making the column runs, some more weights zeroed
+    rng = np.random.default_rng(seed)
+    for s in range(2, 6):
+        for kd in range(s, 12):
+            m, n = (int(v) for v in rng.integers(1, 4, 2))
+            w = rng.standard_normal((m, n, kd, kd))
+            w[rng.random(w.shape) < 0.1] = 0.0
+            conv, _ = transform_weights(DeconvLayerSpec(kd, s, m, n, w, rng.standard_normal(m)))
+            k, r, width = conv.kernel, int(rng.integers(1, 5)), int(rng.integers(1, 9))
+            padded = rng.standard_normal((n, r + k - 1, width + k - 1))
+            _same_bits_in_both_layouts(padded, conv.weights, conv.bias, dtype)
 
 
 _SLOPES = [-1.5, -0.25, 0.0, 0.25, 1.0, 1.5, 3.0]

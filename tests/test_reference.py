@@ -1,12 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from tdcnet.errors import DimensionError
-from tdcnet.model import DeconvLayerSpec, Tensor3, conv_layer
-from tdcnet.reference import (_bicubic_planes, _bicubic_weights, _cubic_kernel,
-                              _phase_weights, _taps_window,
+from tdcnet.model import DeconvLayerSpec, Tensor3, conv_layer, conv_operands, tap_map_runs
+from tdcnet.reference import (_GROUP_BYTES, _bicubic_planes, _bicubic_weights, _cubic_kernel,
+                              _padded_block, _phase_weights, _taps_window, conv_taps,
                               bicubic_upscale_plane, canvas_window, conv2d,
                               deconv2d_canvas, depth_to_space, prelu, psnr,
                               rgb_to_ycbcr, ycbcr_to_rgb)
@@ -70,6 +71,34 @@ class TestConv2d:
         lhs = conv2d(Tensor3(2.0 * u.data + 3.0 * v.data), layer).data
         rhs = 2.0 * conv2d(u, layer).data + 3.0 * conv2d(v, layer).data
         assert np.allclose(lhs, rhs, rtol=1e-9)
+
+
+@pytest.mark.parametrize("kernel, live", [(3, "dense"), (3, "sparse"), (1, "dense")])
+def test_conv_taps_reads_row_interleaved_blocks_in_place(rng, kernel, live):
+    # tracemalloc counts numpy's buffers: the (R, M, W) sums, the column
+    # products (g columns of a dense layer, one run's maps of a sparse one;
+    # none for K = 1) and the in-place adds' ufunc buffers, at most np.getbufsize()
+    # samples for each of 3 operands, never a block-sized copy, which a C-order
+    # block takes
+    m, n, r, w = 4, 64, 16, 64
+    weights = rng.normal(size=(m, n, kernel, kernel))
+    if live == "sparse":
+        weights[2:, :, 0] = 0                             # maps 0, 1 alone in kernel row 0
+    ops = conv_operands(weights, np.zeros(m), tap_map_runs(weights))
+    block = _padded_block(rng.normal(size=(n, r, w)), kernel, kernel // 2)
+    sums = r * m * w * 8
+    products = {1: 0, 3: sums * (min(kernel, _GROUP_BYTES // sums) if live == "dense" else 1)}
+    peaks = []
+    for padded in (block, np.ascontiguousarray(block)):
+        conv_taps(padded, ops)
+        tracemalloc.start()
+        try:
+            conv_taps(padded, ops)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= sums + products[kernel] + 3 * 8 * np.getbufsize() + 16384 < block.nbytes
+    assert peaks[1] >= peaks[0] + block.nbytes
 
 
 class TestDeconvCanvas:
@@ -256,6 +285,24 @@ class TestBicubic:
         assert wgts.shape == (4, 3, n) and wgts.flags.c_contiguous
         assert np.array_equal(wgts, per_sample.reshape(4, n, 3).transpose(0, 2, 1))
         assert (wgts != wgts[..., :1]).any()
+
+    def test_weights_built_once_per_shape(self):
+        weights = _bicubic_weights(12, 160, 3)
+        again = _bicubic_weights(12, 160, 3)
+        assert again is weights and all(a is b for a, b in zip(again, weights))
+        for a in weights:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+    def test_weights_sweep_past_the_cache_bound(self):
+        shapes = [(h, w, s) for s in (2, 3, 4) for h in (1, 5, 12) for w in (1, 7, 16, 160)]
+        assert len(shapes) > _bicubic_weights.cache_info().maxsize
+        for _ in range(2):                      # the second pass rebuilds evicted weights
+            for h, w, s in shapes:
+                rows, cols = _bicubic_weights(h, w, s)
+                assert np.array_equal(rows, _phase_weights(h, s))
+                assert np.array_equal(cols, _phase_weights(w + 4, s))
 
     def test_constant_preserved(self):
         out = bicubic_upscale_plane(np.full((4, 4), 3.25), 3)
