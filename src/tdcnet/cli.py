@@ -401,8 +401,8 @@ def _build_parser() -> argparse.ArgumentParser:
     fsrcnn.add_argument("--z", type=_int_flag("z", low=0, high=SIZE_LIMIT), required=True)
     fsrcnn.add_argument("--kd", type=_int_flag("kd", high=SIZE_LIMIT), required=True)
     fsrcnn.add_argument("--scale", type=int, required=True)
-    fsrcnn.add_argument("--bits", type=int, default=13)
-    fsrcnn.add_argument("--width", type=int, default=1920)
+    fsrcnn.add_argument("--bits", type=_int_flag("bits"), default=13)
+    fsrcnn.add_argument("--width", type=_int_flag("width"), default=1920)
 
     r = sub.add_parser("resources", parents=[fsrcnn],
                        help="multiplier/DSP/BRAM resource report")

@@ -55,38 +55,6 @@ class Tensor3:
         return self.data.shape[2]
 
 
-def tap_map_runs(weights: np.ndarray) -> Optional[tuple[Optional[slice], ...]]:
-    """Per tap (ky, kx), the output maps whose (M, N, K, K) weights are not all zero.
-
-    None when every map is live at every tap (a dense layer). Otherwise one
-    entry per tap in (ky, kx) order: a slice of the live maps when they form a
-    strided run, as each tap's phases do in a transformed single-map deconv,
-    and None (all maps) when every map is live or the pattern is irregular,
-    which is never wrong, only slower. Worked out once per live-map pattern.
-    """
-    live = np.any(weights, axis=1)
-    return _live_runs(live.shape, live.tobytes())
-
-
-@lru_cache(maxsize=256)
-def _live_runs(shape: tuple[int, ...], mask: bytes) -> Optional[tuple[Optional[slice], ...]]:
-    """tap_map_runs of one (M, K, K) live mask, given as its shape and bytes."""
-    live = np.frombuffer(mask, dtype=bool).reshape(shape)
-    if live.all():
-        return None
-    m = live.shape[0]
-    runs: list[Optional[slice]] = []
-    for col in live.reshape(m, -1).T.tolist():
-        idx = [i for i, v in enumerate(col) if v]
-        if not idx:
-            runs.append(slice(0, 0))
-            continue
-        step = idx[1] - idx[0] if len(idx) > 1 else 1
-        strided = len(idx) < m and idx == list(range(idx[0], idx[-1] + 1, step))
-        runs.append(slice(idx[0], idx[-1] + 1, step) if strided else None)
-    return tuple(runs)
-
-
 class ConvOperands(NamedTuple):
     """A layer's weights and bias in the layout `reference.conv_taps` reads,
     in one dtype: `weights` the (M, K*N) matrix of each kernel column, with
@@ -102,13 +70,14 @@ class ConvOperands(NamedTuple):
     runs: Optional[tuple[tuple[int, int, int, slice], ...]]
 
 
-def conv_operands(weights, bias, tap_maps=None, dtype=None) -> ConvOperands:
+def conv_operands(weights, bias, dtype=None) -> ConvOperands:
     """(M, N, K, K) weights and (M,) bias as read-only ConvOperands in `dtype`
     (the weights' when None), the weights C-contiguous, as the gemms read
-    their matrices fastest. `tap_maps` is the layer's tap_map_runs: each run
-    of consecutive kernel rows in a column whose taps share one slice of live
-    maps becomes one gemm over those maps, and dead taps none. Build them once
-    per layer: every conv_taps call reads them as they are."""
+    their matrices fastest. In the column layout, each run of consecutive
+    kernel rows in a column whose taps share one slice of live maps (maps
+    whose weights there are not all zero) becomes one gemm over those maps,
+    and dead taps none. Build them once per layer: every conv_taps call reads
+    them as they are."""
     weights = np.asarray(weights)
     m, n, k, _ = weights.shape
     dtype = weights.dtype if dtype is None else dtype
@@ -118,20 +87,40 @@ def conv_operands(weights, bias, tap_maps=None, dtype=None) -> ConvOperands:
         w = np.ascontiguousarray(w.transpose(1, 0, 2, 3)).reshape(m, -1)
     else:
         w = w.reshape(k, 1, m, k * n)
-        if tap_maps is not None:
-            runs, live = [], range(m)
-            for kx in range(k):
-                j = 0
-                for maps, taps in groupby(tap_maps[kx::k]):        # ky order
-                    maps = slice(None) if maps is None else maps
-                    span = n * len(list(taps))
-                    if live[maps]:
-                        runs.append((kx, j, j + span, maps))
-                    j += span
-            runs = tuple(runs)
+        live = np.any(weights, axis=1)
+        runs = _column_runs(live.shape, live.tobytes(), n)
     b = np.asarray(bias, w.dtype).reshape(m, 1)
     w.flags.writeable = b.flags.writeable = False
     return ConvOperands(k, w, b, runs)
+
+
+@lru_cache(maxsize=256)
+def _column_runs(shape: tuple[int, ...], mask: bytes, n: int):
+    """ConvOperands.runs of one (M, K, K) live mask, given as its shape and
+    bytes, for N input maps: None where every map is live at every tap. A
+    tap's maps are a slice of its live maps where they form a strided run
+    short of all maps, as each tap's phases do in a transformed single-map
+    deconv, and all maps otherwise, which is never wrong, only slower."""
+    live = np.frombuffer(mask, dtype=bool).reshape(shape)
+    if live.all():
+        return None
+    m, k, _ = shape
+    runs = []
+    for kx in range(k):
+        taps = []
+        for col in live[:, :, kx].T.tolist():                # ky order
+            idx = [i for i, v in enumerate(col) if v]
+            step = idx[1] - idx[0] if len(idx) > 1 else 1
+            strided = 0 < len(idx) < m and idx == list(range(idx[0], idx[-1] + 1, step))
+            taps.append(slice(idx[0], idx[-1] + 1, step) if strided
+                        else slice(None) if idx else None)
+        j = 0
+        for maps, group in groupby(taps):
+            span = n * len(list(group))
+            if maps is not None:
+                runs.append((kx, j, j + span, maps))
+            j += span
+    return tuple(runs)
 
 
 def steep_maps(slopes) -> Optional[np.ndarray]:
@@ -188,14 +177,9 @@ class ConvLayerSpec:
             object.__setattr__(self, "prelu_slope", _frozen(s, (m,)))
 
     @cached_property
-    def tap_maps(self) -> Optional[tuple[Optional[slice], ...]]:
-        """tap_map_runs of the weights, built once per layer."""
-        return tap_map_runs(self.weights)
-
-    @cached_property
     def operands(self) -> ConvOperands:
-        """conv_operands of the weights, bias and tap_maps, built once per layer."""
-        return conv_operands(self.weights, self.bias, self.tap_maps)
+        """conv_operands of the weights and bias, built once per layer."""
+        return conv_operands(self.weights, self.bias)
 
     @cached_property
     def steep(self) -> Optional[np.ndarray]:

@@ -123,12 +123,12 @@ class QuantizedLayer:
     @cached_property
     def operands(self) -> ConvOperands:
         """The codes as float64 conv_operands, cast once per layer."""
-        return conv_operands(self.weights_raw, self.bias_raw, self.spec.tap_maps, np.float64)
+        return conv_operands(self.weights_raw, self.bias_raw, np.float64)
 
     @cached_property
     def int_operands(self) -> ConvOperands:
         """The codes as int64 conv_operands, for sums that may pass 2**53."""
-        return conv_operands(self.weights_raw, self.bias_raw, self.spec.tap_maps, np.int64)
+        return conv_operands(self.weights_raw, self.bias_raw, np.int64)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConfigurationError, ScheduleMismatchError
-from .model import ConvLayerSpec, DeconvLayerSpec, Tensor3, conv_operands, tap_map_runs
+from .model import ConvLayerSpec, DeconvLayerSpec, Tensor3, conv_operands
 from .reference import _padded_block, conv_taps
 from .tdc import TdcGeometry, derive_geometry, transform_weights
 
@@ -148,8 +148,7 @@ def simulate_dclp(x: Tensor3, schedule: LayerSchedule, geometry: TdcGeometry,
             raise ScheduleMismatchError(f"an instruction's {col} is outside [0, {hi})")
     index = (((t["m"] * s2 + t["phase"]) * n_in + t["n"]) * k + t["y"]) * k + t["x"]
     filters = np.bincount(index, t["weight"], conv.weights.size).reshape(conv.weights.shape)
-    out = conv_taps(_padded_block(x.data, k, conv.pad_before),
-                    conv_operands(filters, conv.bias, tap_map_runs(filters)))
+    out = conv_taps(_padded_block(x.data, k, conv.pad_before), conv_operands(filters, conv.bias))
     cycles = _cycles(conv.out_maps, schedule.pe_count, schedule.in_maps, in_tile,
                      h, w, schedule.depth)
     return Tensor3(out), cycles

@@ -293,9 +293,14 @@ class TestExitCodes:
          "--y must be a positive integer, got -2"),
         (["plan", "--x", "56", "--y", "12", "--z", "-1", "--kd", "9", "--scale", "2"],
          "--z must be a non-negative integer, got -1"),
-    ], ids=["resources_x", "plan_y", "plan_z"])
+        (["plan", "--x", "4", "--y", "2", "--z", "1", "--kd", "5", "--scale", "2",
+          "--width", "0"], "--width must be a positive integer, got 0"),
+        (["resources", "--x", "4", "--y", "2", "--z", "1", "--kd", "5", "--scale", "2",
+          "--bits", "0"], "--bits must be a positive integer, got 0"),
+    ], ids=["resources_x", "plan_y", "plan_z", "plan_width", "resources_bits"])
     def test_small_size_flags(self, capsys, argv, message):
-        # the library's "require x >= 1, y >= 1, z >= 0", naming no flag, before
+        # the library's "require x >= 1, y >= 1, z >= 0" (and plan_dataflow's
+        # "input_width and bit_width must be >= 1"), naming no flag, before
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: {message}\n"

@@ -4,10 +4,9 @@ import pytest
 from tdcnet.errors import (ConfigurationError, DimensionError,
                            WeightFormatError)
 from tdcnet.model import (ConvLayerSpec, DeconvLayerSpec, FsrcnnConfig,
-                          NetworkSpec, Tensor3, _live_runs, build_fsrcnn, conv_layer,
-                          conv_operands,
-                          load_weights, parse_weights, same_padding,
-                          save_weights, tap_map_runs)
+                          NetworkSpec, Tensor3, _column_runs, build_fsrcnn, conv_layer,
+                          conv_operands, load_weights, parse_weights, same_padding,
+                          save_weights)
 from tdcnet.tdc import transform_weights
 
 from conftest import random_weight_doc
@@ -57,50 +56,64 @@ class TestLayerSpecs:
 
 
 def _runs_by_loop(weights):
-    """tap_map_runs without its memo: the per-tap loop over a fresh live mask."""
+    """conv_operands(weights, ...).runs of a column layout without its memo:
+    each tap's live maps, then each column's runs of equal maps, by loops."""
+    m, n, k, _ = weights.shape
     live = np.any(weights, axis=1)
     if live.all():
         return None
-    m = live.shape[0]
     runs = []
-    for t in range(live[0].size):
-        idx = np.flatnonzero(live.reshape(m, -1)[:, t]).tolist()
-        if not idx:
-            runs.append(slice(0, 0))
-            continue
-        step = idx[1] - idx[0] if len(idx) > 1 else 1
-        strided = len(idx) < m and idx == list(range(idx[0], idx[-1] + 1, step))
-        runs.append(slice(idx[0], idx[-1] + 1, step) if strided else None)
+    for kx in range(k):
+        taps = []
+        for ky in range(k):
+            idx = np.flatnonzero(live[:, ky, kx]).tolist()
+            step = idx[1] - idx[0] if len(idx) > 1 else 1
+            if not idx:
+                taps.append(None)
+            elif len(idx) < m and idx == list(range(idx[0], idx[-1] + 1, step)):
+                taps.append(slice(idx[0], idx[-1] + 1, step))
+            else:
+                taps.append(slice(None))
+        ky = 0
+        while ky < k:
+            end = ky
+            while end < k and taps[end] == taps[ky]:
+                end += 1
+            if taps[ky] is not None:
+                runs.append((kx, ky * n, end * n, taps[ky]))
+            ky = end
     return tuple(runs)
 
 
-class TestTapMapRuns:
+class TestColumnRuns:
     def test_equal_masks_share_runs(self, rng):
         # the s = 4 transform of a dense single-map deconv, and int64 codes
-        # with other values on the same zeros
+        # with other values on the same zeros, laid out in either dtype
         dec = DeconvLayerSpec(9, 4, 1, 2, rng.integers(1, 9, (1, 2, 9, 9)), np.zeros(1))
         w = transform_weights(dec)[0].weights
         codes = np.where(w != 0, rng.integers(-50, 50, w.shape) | 1, 0).astype(np.int64)
-        runs = tap_map_runs(w)
-        assert runs == (None, None, slice(3, 16, 4), None, None, slice(3, 16, 4),
-                        slice(12, 16, 1), slice(12, 16, 1), slice(15, 16, 1)) == _runs_by_loop(w)
-        assert tap_map_runs(codes) is runs
+        runs = conv_operands(w, np.zeros(16)).runs
+        assert runs == _runs_by_loop(w)
+        for dtype in (None, np.float64, np.int64):
+            assert conv_operands(codes, np.ones(16), dtype).runs is runs
 
     def test_dense_dead_and_irregular_taps(self):
         w = np.ones((4, 2, 2, 2))
-        assert tap_map_runs(w) is None
-        w[:, :, 0, 1] = 0                                # no live map
-        w[[1, 3], :, 1, 0] = 0                           # maps 0, 2: a strided run
-        w[2, 0, 1, 1] = w[2, 1, 1, 1] = 0                # maps 0, 1, 3: irregular
-        assert tap_map_runs(w) == (None, slice(0, 0), slice(0, 3, 2), None)
+        assert conv_operands(w, np.zeros(4)).runs is None
+        w[:, :, 0, 1] = 0                                # tap (0, 1): no live map
+        w[[1, 3], :, 1, 0] = 0                           # tap (1, 0), maps 0, 2: a strided run
+        w[2, 0, 1, 1] = w[2, 1, 1, 1] = 0                # tap (1, 1), maps 0, 1, 3: irregular
+        assert conv_operands(w, np.zeros(4)).runs == (
+            (0, 0, 2, slice(None)), (0, 2, 4, slice(0, 3, 2)), (1, 2, 4, slice(None)))
 
     def test_sweep_past_the_cache_bound(self, rng):
-        masks = rng.random((_live_runs.cache_info().maxsize + 60, 9, 1, 3, 3)) < 0.6
+        # 8 maps of 1 x 3 x 3 taps: more taps than maps, so the column layout
+        masks = rng.random((_column_runs.cache_info().maxsize + 60, 8, 1, 3, 3)) < 0.6
         for _ in range(2):                               # the second pass recomputes evicted runs
             for i, live in enumerate(masks):
                 w = live * rng.integers(1, 9, live.shape)
                 w = w.astype(np.float64 if i % 2 else np.int64)
-                assert tap_map_runs(w) == _runs_by_loop(w)
+                assert conv_operands(w, np.zeros(8)).runs == _runs_by_loop(w)
 
 
 class TestConvOperands:
@@ -121,19 +134,19 @@ class TestConvOperands:
         # one live slice share a gemm, and the issued MACs stay those of the taps
         dec = DeconvLayerSpec(9, 4, 1, 2, rng.integers(1, 9, (1, 2, 9, 9)), np.zeros(1))
         conv = transform_weights(dec)[0]
-        runs = conv_operands(conv.weights, conv.bias, conv.tap_maps).runs
+        runs = conv.operands.runs
         everything, last4, every4th = slice(None), slice(12, 16, 1), slice(3, 16, 4)
         assert runs == ((0, 0, 4, everything), (0, 4, 6, last4), (1, 0, 4, everything),
                         (1, 4, 6, last4), (2, 0, 4, every4th), (2, 4, 6, slice(15, 16, 1)))
-        live = range(16)
-        assert (sum((j1 - j0) * len(live[maps]) for _, j0, j1, maps in runs)
-                == sum(2 * len(live[sl or everything]) for sl in conv.tap_maps))
+        live = np.any(conv.weights, axis=1)
+        assert (sum((j1 - j0) * len(range(16)[maps]) for _, j0, j1, maps in runs)
+                == 2 * live.sum())
 
     def test_dead_taps_make_no_gemm(self):
         w = np.ones((4, 2, 2, 2))
         w[:, :, :, 1] = 0                                # column 1 dead
         w[1:, :, 1, 0] = 0                               # map 0 alone at tap (1, 0)
-        runs = conv_operands(w, np.zeros(4), tap_map_runs(w)).runs
+        runs = conv_operands(w, np.zeros(4)).runs
         assert runs == ((0, 0, 2, slice(None)), (0, 2, 4, slice(0, 1, 1)))
 
 

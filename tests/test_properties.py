@@ -23,8 +23,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from tdcnet import quant, reference
 from tdcnet.imageio import read_image, write_image
 from tdcnet.model import (DeconvLayerSpec, FsrcnnConfig, Tensor3, WeightSet, _conv_shapes,
-                          conv_layer, conv_operands, parse_weights, save_weights,
-                          tap_map_runs)
+                          conv_layer, conv_operands, parse_weights, save_weights)
 from tdcnet.pipeline import infer, infer_streaming
 from tdcnet.quant import (QFormat, QuantizedLayer, QuantizedNetwork,
                           _rshift_half_even_into, quantize_array, quantize_value,
@@ -84,20 +83,26 @@ def _live_pattern(rng, m: int, kind: str) -> np.ndarray:
        st.integers(0, 2 ** 32 - 1))
 def test_conv_taps_skips_zero_maps(block, dtype, kinds, seed):
     padded, weights, bias = (a.astype(dtype) for a in block)
-    m, _, k, _ = weights.shape
+    m, n, k, _ = weights.shape
     rng = np.random.default_rng(seed)
     for t in range(k * k):
         dead = ~_live_pattern(rng, m, kinds[t])
         weights[dead, :, t // k, t % k] = 0
-    plan = tap_map_runs(weights)
-    live = np.any(weights, axis=1).reshape(m, -1)
-    for t, sl in enumerate(plan or (None,) * (k * k)):
+    ops = conv_operands(weights, bias)
+    live = np.any(weights, axis=1)                     # (M, ky, kx)
+    for kx, j0, j1, maps in ops.runs or ():
         picked = np.zeros(m, dtype=bool)
-        picked[slice(None) if sl is None else sl] = True
-        assert not (live[:, t] & ~picked).any()        # never skips a live map
-        if sl is not None:
-            assert np.array_equal(picked, live[:, t])  # a run is exactly the live maps
-    got = conv_taps(padded, conv_operands(weights, bias, plan))
+        picked[maps] = True
+        for ky in range(j0 // n, j1 // n):
+            assert not (live[:, ky, kx] & ~picked).any()        # never skips a live map
+            if maps != slice(None):
+                assert np.array_equal(picked, live[:, ky, kx])  # a run is exactly the live maps
+    if ops.runs is not None:                           # a tap in no run has no live map
+        covered = np.zeros((k, k), dtype=bool)
+        for kx, j0, j1, _ in ops.runs:
+            covered[j0 // n:j1 // n, kx] = True
+        assert not live[:, ~covered].any()
+    got = conv_taps(padded, ops)
     assert got.dtype == dtype
     assert np.array_equal(got, conv_windows(padded, weights, bias))
 
@@ -131,7 +136,7 @@ def test_conv_taps_rows_independent(case):
     # operands lie, so an R-row block equals its one-row slices bit for bit
     padded, weights, bias = case
     k = weights.shape[2]
-    ops = conv_operands(weights, bias, tap_map_runs(weights))
+    ops = conv_operands(weights, bias)
     got = conv_taps(padded, ops)
     for i in range(got.shape[1]):
         one = padded[:, i:i + k]
@@ -144,14 +149,17 @@ def test_conv_taps_rows_independent(case):
 def test_conv_taps_grouping_changes_nothing(case, dtype):
     # one matmul call per tap, or g whole kernel rows per call up to the whole
     # kernel: every (tap, row) gemm and every tap's addition stay the same, so
-    # no bit moves. Grouping applies to dense layers (tap_maps None) only
+    # no bit moves. Grouping applies to dense layers (runs None) only, so no
+    # map is zeroed
     padded, weights, bias = case
     if dtype == np.int64:
         padded, weights, bias = (np.rint(a * 64).astype(np.int64) for a in case)
+    weights = np.where(weights == 0, 32 if dtype == np.int64 else 0.5, weights)
     padded = padded.copy()                      # contiguous, as the library's blocks are
     m, n, k, _ = weights.shape
     r, w = padded.shape[1] - (k - 1), padded.shape[2] - (k - 1)
     ops, got = conv_operands(weights, bias), []
+    assert ops.runs is None
     with pytest.MonkeyPatch.context() as mp:
         for g in range(k + 1):                  # products of g kernel rows per call
             mp.setattr(reference, "_GROUP_BYTES", g * k * r * m * w * 8)
@@ -168,7 +176,7 @@ def _same_bits_in_both_layouts(padded, weights, bias, dtype):
     rounded)."""
     if dtype == np.int64:
         padded, weights, bias = (np.rint(a * 64).astype(np.int64) for a in (padded, weights, bias))
-    ops = conv_operands(weights, bias, tap_map_runs(weights))
+    ops = conv_operands(weights, bias)
     got = conv_taps(np.ascontiguousarray(padded), ops)
     interleaved = np.ascontiguousarray(padded.transpose(1, 0, 2)).transpose(1, 0, 2)
     assert got.dtype == dtype and _same_bits(got, conv_taps(interleaved, ops))
@@ -177,7 +185,7 @@ def _same_bits_in_both_layouts(padded, weights, bias, dtype):
 @settings(max_examples=120, deadline=None)
 @given(float_row_blocks(), st.booleans(), st.sampled_from([np.float64, np.int64]))
 def test_conv_taps_layout_independent(case, dense, dtype):
-    # stacked, dense (no zeroed map) and sparse plans
+    # stacked, dense (no zeroed map) and sparse runs
     padded, weights, bias = case
     if dense:
         weights = np.where(weights == 0, 0.5, weights)
@@ -280,8 +288,7 @@ def quantized_windows(padded, ql: QuantizedLayer, qnet: QuantizedNetwork):
 
 
 def int_layer(weights, bias, prelu, qw: QFormat, qa: QFormat):
-    """A one-layer QuantizedNetwork over raw codes; its float spec carries the
-    same zeros, so its tap_maps plan is the codes' plan."""
+    """A one-layer QuantizedNetwork over raw codes."""
     m, n, k, _ = weights.shape
     spec = conv_layer(k, m, n, weights.astype(np.float64))
     ql = QuantizedLayer(spec, weights, np.asarray(bias, dtype=np.int64), prelu, 0)

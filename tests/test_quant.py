@@ -150,9 +150,26 @@ class TestQuantizedForward:
         x = rng.integers(q.min_raw, q.max_raw + 1, (2, 4, 5))
         assert np.array_equal(quantized_forward(qnet, x), _python_int_layer(qnet, x))
 
+    def test_codes_rounded_to_zero_skip_their_taps(self, rng):
+        # weights below half a step at two (map, tap)s leave the float layer
+        # dense, but its codes are zero there: their own runs skip those taps,
+        # and the sums stay exact
+        w = rng.choice([-1.0, 1.0], (2, 2, 3, 3)) * rng.uniform(0.1, 0.5, (2, 2, 3, 3))
+        w[0, :, 0, 1] = w[1, :, 2, 2] = 1e-4
+        layer = conv_layer(3, 2, 2, w, rng.normal(0, 0.05, 2), np.array([0.25, 1.5]))
+        qnet = quantize_network(NetworkSpec((layer,)), Q13, Q13)
+        everything = slice(None)
+        assert layer.operands.runs is None
+        assert qnet.layers[0].operands.runs == (
+            (0, 0, 6, everything), (1, 0, 2, slice(1, 2, 1)), (1, 2, 6, everything),
+            (2, 0, 4, everything), (2, 4, 6, slice(0, 1, 1)))
+        x = rng.integers(Q13.min_raw, Q13.max_raw + 1, (2, 4, 5))
+        assert np.array_equal(quantized_forward(qnet, x), _python_int_layer(qnet, x))
+
     def test_wide_sums_refused_not_wrapped(self):
         # the true sum 3 * (2**31 - 1) * -2**31 = -1.38e19 wrapped int64 to
-        # +2147483647; a single weight's -(2**62 - 2**31) still runs and saturates
+        # +2147483647; two weights' -(2**63 - 2**32) lies in [2**62, 2**63), so
+        # is refused too; a single weight's -(2**62 - 2**31) still runs and saturates
         q = QFormat(32, 0)
 
         def run(maps):
@@ -160,8 +177,9 @@ class TestQuantizedForward:
             qnet = quantize_network(NetworkSpec((conv_layer(1, 1, maps, w),)), q, q)
             return quantized_forward(qnet, np.full((maps, 1, 1), q.min_raw))
 
-        with pytest.raises(ConfigurationError, match=r"2\*\*62"):
-            run(3)
+        for maps in (3, 2):
+            with pytest.raises(ConfigurationError, match=r"2\*\*62"):
+                run(maps)
         assert run(1).tolist() == [[[q.min_raw]]]
 
     def test_wide_formats_track_float(self):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tdcnet.errors import DimensionError
-from tdcnet.model import DeconvLayerSpec, Tensor3, conv_layer, conv_operands, tap_map_runs
+from tdcnet.model import DeconvLayerSpec, Tensor3, conv_layer, conv_operands
 from tdcnet.reference import (_GROUP_BYTES, _bicubic_planes, _bicubic_weights, _cubic_kernel,
                               _padded_block, _phase_weights, _taps_window, conv_taps,
                               bicubic_upscale_plane, canvas_window, conv2d,
@@ -84,7 +84,7 @@ def test_conv_taps_reads_row_interleaved_blocks_in_place(rng, kernel, live):
     weights = rng.normal(size=(m, n, kernel, kernel))
     if live == "sparse":
         weights[2:, :, 0] = 0                             # maps 0, 1 alone in kernel row 0
-    ops = conv_operands(weights, np.zeros(m), tap_map_runs(weights))
+    ops = conv_operands(weights, np.zeros(m))
     block = _padded_block(rng.normal(size=(n, r, w)), kernel, kernel // 2)
     sums = r * m * w * 8
     products = {1: 0, 3: sums * (min(kernel, _GROUP_BYTES // sums) if live == "dense" else 1)}
