@@ -210,15 +210,13 @@ def _cmd_schedule(args, argv):
     )
     pes = args.stride ** 2 if args.pes is None else args.pes
     ls = scheduler.schedule_deconv_layer(layer, pes)
-    sched = ls.groups[(0, 0)]
-    streams = [
-        [{"phase": p, "pos": [y, x], "weight": wt} for _, _, _, p, y, x, wt in stream.tolist()]
-        for stream in sched.streams
-    ]
+    streams = [[] for _ in range(pes)]
+    for _, _, pe, p, y, x, wt in ls.table.tolist():
+        streams[pe].append({"phase": p, "pos": [y, x], "weight": wt})
     _emit(args, argv, {
         "geometry": _geometry_dict(ls.geometry),
-        "pe_count": sched.pe_count,
-        "depth": sched.depth,
+        "pe_count": ls.pe_count,
+        "depth": ls.depth,
         "streams": streams,
     })
     return 0
@@ -400,7 +398,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fsrcnn.add_argument("--y", type=_int_flag("y", high=SIZE_LIMIT), required=True)
     fsrcnn.add_argument("--z", type=_int_flag("z", low=0, high=SIZE_LIMIT), required=True)
     fsrcnn.add_argument("--kd", type=_int_flag("kd", high=SIZE_LIMIT), required=True)
-    fsrcnn.add_argument("--scale", type=int, required=True)
+    fsrcnn.add_argument("--scale", type=_int_flag("scale", 2, SIZE_LIMIT), required=True)
     fsrcnn.add_argument("--bits", type=_int_flag("bits"), default=13)
     fsrcnn.add_argument("--width", type=_int_flag("width"), default=1920)
 

@@ -23,8 +23,8 @@ import numpy as np
 from .errors import ConfigurationError, DimensionError
 from .model import (ConvLayerSpec, ConvOperands, DeconvLayerSpec, NetworkSpec, Tensor3,
                     conv_operands, steep_maps)
-from .reference import (_TILE_PIXELS, _prelu_into, _rows_within, conv_rows, conv_taps,
-                        depth_to_space_array, psnr)
+from .reference import (_TILE_PIXELS, _padded_block, _prelu_into, _rows_within, conv_rows,
+                        conv_taps, depth_to_space_array, psnr)
 from .tdc import transform_weights
 
 
@@ -258,58 +258,18 @@ def quantized_conv_rows(qlayer: QuantizedLayer, padded: np.ndarray,
     return np.clip(acc, qa.min_raw, qa.max_raw, out=sums)
 
 
-class _Layer:
-    """One conv layer fed row blocks, the way a line-buffered processor is.
-
-    `run` maps a zero-padded (N, R + K - 1, W + K - 1) block to (M, R, W)
-    outputs (conv_rows in float, quantized_conv_rows in fixed point), and a
-    nonzero `scale` moves the deconv's phases to space afterwards. Blocks and
-    outputs are float64 in both modes: fixed-point codes are integers of at
-    most 2**31 in magnitude, exact in float64, so no layer converts them.
-    Between pushes the layer keeps its last K - 1 padded input rows; a 1x1
-    layer keeps none and takes its input rows as the block.
-    """
-
-    def __init__(self, spec: ConvLayerSpec, run, scale: int):
-        self.spec, self.run, self.scale = spec, run, scale
-        self.carry: Optional[np.ndarray] = None
-
-    def block(self, rows: np.ndarray, pad: int) -> Optional[np.ndarray]:
-        """The padded block that the next (N, R, W) input rows complete, or None.
-
-        The first block starts with the top zero padding; `pad` rows of the
-        bottom padding follow the rows, which flushes the layer.
-        """
-        k, pb = self.spec.kernel, self.spec.pad_before
-        n, r, w = rows.shape
-        if n != self.spec.in_maps:
-            raise DimensionError(f"input channels {n} != layer in_maps {self.spec.in_maps}")
-        if k == 1:
-            return rows
-        c = pb if self.carry is None else len(self.carry)
-        block = np.zeros((c + r + pad, n, w + k - 1))      # row-interleaved, as conv_taps reads
-        if self.carry is not None:
-            block[:c] = self.carry
-        block[c:c + r, :, pb:pb + w] = rows.transpose(1, 0, 2)
-        if len(block) < k:
-            self.carry = block
-            return None
-        self.carry = block[len(block) - (k - 1):].copy()
-        return block.transpose(1, 0, 2)
-
-    def __call__(self, block: np.ndarray) -> np.ndarray:
-        """The (M, R, W) output rows of a block, phases moved to space for a deconv."""
-        out = self.run(block)
-        return depth_to_space_array(out, self.scale) if self.scale else out
-
-
-def _layers(net: Optional[NetworkSpec], qnet: Optional[QuantizedNetwork] = None) -> list[_Layer]:
-    """Fresh executor layers, each with its own line buffer, over the compiled
-    float chain of `net` or over the fixed chain of `qnet`."""
+def _layers(net: Optional[NetworkSpec], qnet: Optional[QuantizedNetwork] = None) -> list[tuple]:
+    """The executor's layers, (spec, run, scale) each, over the compiled float
+    chain of `net` or over the fixed chain of `qnet`: `run` maps a zero-padded
+    (N, R + K - 1, W + K - 1) block to (M, R, W) outputs (conv_rows in float,
+    quantized_conv_rows in fixed point), and a nonzero `scale` moves the
+    deconv's phases to space afterwards. Blocks and outputs are float64 in
+    both modes: fixed-point codes are integers of at most 2**31 in magnitude,
+    exact in float64, so no layer converts them."""
     if qnet is not None:
-        return [_Layer(q.spec, lambda b, q=q: quantized_conv_rows(q, b, qnet), q.depth_to_space)
+        return [(q.spec, lambda b, q=q: quantized_conv_rows(q, b, qnet), q.depth_to_space)
                 for q in qnet.layers]
-    return [_Layer(c, lambda b, c=c: conv_rows(b, c), dts) for c, dts in _inference_convs(net)]
+    return [(c, lambda b, c=c: conv_rows(b, c), dts) for c, dts in _inference_convs(net)]
 
 
 def _tile_rows(w: int) -> int:
@@ -317,7 +277,7 @@ def _tile_rows(w: int) -> int:
     return max(2, _TILE_PIXELS // w)
 
 
-def _forward(layers: list[_Layer], x: np.ndarray, rows: Optional[int] = None,
+def _forward(layers: list[tuple], x: np.ndarray, rows: Optional[int] = None,
              trace: Optional[list[list]] = None, prep=None):
     """Push (C, H, W) input through the layers `rows` rows at a time and yield
     the last layer's output blocks in row order: rows=None is batch inference,
@@ -330,17 +290,20 @@ def _forward(layers: list[_Layer], x: np.ndarray, rows: Optional[int] = None,
     products) would pass the scratch budget at a layer goes on from there as
     even sub-pushes, bottom padding included, each through the rest of the
     chain before the next. A layer's input is released once its block is
-    built, before the conv runs. `prep`, when given, maps each batch tile
-    (C, R, W, ...) of x to the first layer's input rows, so that no copy of
-    the whole input is made; `trace` gets each layer's output blocks."""
+    built, before the conv runs. Each layer's line buffer, the carry that
+    reference._padded_block returns, is local to the call, so calls on other
+    threads keep their own. `prep`, when given, maps each batch tile (C, R,
+    W, ...) of x to the first layer's input rows, so that no copy of the
+    whole input is made; `trace` gets each layer's output blocks."""
     if x.ndim < 3 or min(x.shape) < 1:
         raise DimensionError(f"expected non-empty (C, H, W) input, got shape {x.shape}")
     h, w = x.shape[1:3]
     tile = _tile_rows(w)
     step = min(rows or tile, tile)
     caps = [min(_rows_within(8 * c.in_maps * (w + c.kernel - 1), c.kernel - 1),
-                _rows_within(8 * c.out_maps * w)) for c in (layer.spec for layer in layers)]
-    pads = [layer.spec.pad_after for layer in layers] + [0]
+                _rows_within(8 * c.out_maps * w)) for c, _, _ in layers]
+    pads = [c.pad_after for c, _, _ in layers] + [0]
+    carry = [None] * len(layers)
     for t in range(0, h, tile):
         rows_in = x[:, t:t + tile] if prep is None else prep(x[:, t:t + tile])
         for r0 in range(0, rows_in.shape[1], step):
@@ -355,10 +318,16 @@ def _forward(layers: list[_Layer], x: np.ndarray, rows: Optional[int] = None,
                         todo += [(i, cur[:, a:a + n], max(0, min(a + n, ext) - max(a, r)),
                                   end and a + n >= ext) for a in reversed(range(0, ext, n))]
                         break
-                    cur = layers[i].block(cur, pad)
+                    spec, run, scale = layers[i]
+                    if cur.shape[0] != spec.in_maps:
+                        raise DimensionError(
+                            f"input channels {cur.shape[0]} != layer in_maps {spec.in_maps}")
+                    cur, carry[i] = _padded_block(cur, spec.kernel, spec.pad_before, pad, carry[i])
                     if cur is None:
                         break
-                    cur = layers[i](cur)
+                    cur = run(cur)
+                    if scale:
+                        cur = depth_to_space_array(cur, scale)
                     if trace is not None:
                         trace[i].append(cur)
                     pad = pads[i + 1] * end
@@ -366,7 +335,7 @@ def _forward(layers: list[_Layer], x: np.ndarray, rows: Optional[int] = None,
                     yield cur
 
 
-def _planes(layers: list[_Layer], x: np.ndarray, collect: bool):
+def _planes(layers: list[tuple], x: np.ndarray, collect: bool):
     """_forward's output as one plane and, when collect, every layer's output
     plane, its blocks joined in order (else None)."""
     trace = [[] for _ in layers] if collect else None

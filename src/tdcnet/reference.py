@@ -32,14 +32,30 @@ def _rows_within(row_bytes: int, held: int = 0) -> int:
     return max(1, _SCRATCH_BYTES // row_bytes - held)
 
 
-def _padded_block(x: np.ndarray, k: int, pad_before: int) -> np.ndarray:
-    """(N, H, W) maps zero-padded to a (N, H + K - 1, W + K - 1) block with
-    `pad_before` rows and columns in front, in the row-interleaved memory
-    conv_taps reads."""
-    n, h, w = x.shape
-    rows = np.zeros((h + k - 1, n, w + k - 1))
-    rows[pad_before:pad_before + h, :, pad_before:pad_before + w] = x.transpose(1, 0, 2)
-    return rows.transpose(1, 0, 2)
+def _padded_block(rows: np.ndarray, k: int, pad_before: int, pad_after: int,
+                  carry: Optional[np.ndarray] = None
+                  ) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+    """The zero-padded block that (N, R, W) input rows complete, and the carry
+    for the next rows: the one builder of conv blocks, a line buffer's for the
+    layer executor and a whole plane's for conv2d and the DCLP replay.
+
+    The block is the carry (or, first, `pad_before` zero rows), then the rows
+    `pad_before` columns in, then `pad_after` zero rows, held row-interleaved
+    in (rows, N, W + K - 1) memory as conv_taps reads it and seen as
+    (N, rows, W + K - 1). Its last K - 1 rows are the next carry; while it is
+    shorter than K it is (None, rows so far). K = 1 returns the rows themselves.
+    """
+    if k == 1:
+        return rows, carry
+    n, r, w = rows.shape
+    c = pad_before if carry is None else len(carry)
+    block = np.zeros((c + r + pad_after, n, w + k - 1))
+    if carry is not None:
+        block[:c] = carry
+    block[c:c + r, :, pad_before:pad_before + w] = rows.transpose(1, 0, 2)
+    if len(block) < k:
+        return None, block
+    return block.transpose(1, 0, 2), block[len(block) - (k - 1):].copy()
 
 
 def conv_taps(padded: np.ndarray, ops: ConvOperands) -> np.ndarray:
@@ -127,7 +143,8 @@ def conv2d(x: Tensor3, layer: ConvLayerSpec) -> Tensor3:
     """
     if x.channels != layer.in_maps:
         raise DimensionError(f"input channels {x.channels} != layer in_maps {layer.in_maps}")
-    return Tensor3(conv_rows(_padded_block(x.data, layer.kernel, layer.pad_before), layer))
+    block, _ = _padded_block(x.data, layer.kernel, layer.pad_before, layer.pad_after)
+    return Tensor3(conv_rows(block, layer))
 
 
 def deconv2d_canvas(x: Tensor3, layer: DeconvLayerSpec) -> Tensor3:

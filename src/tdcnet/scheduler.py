@@ -70,16 +70,20 @@ class LayerSchedule:
 
     @cached_property
     def groups(self) -> Mapping[tuple[int, int], PESchedule]:
-        """Read-only (m, n) -> PESchedule view of the table; PE p's stream is
-        every pe_count-th row of the group from its p-th on. It deals the
-        streams by row order, not from the `pe` column, until ROADMAP item 7
-        deletes it."""
-        t, pes = self.table, self.pe_count
-        rows = {(m, n): t[(t["m"] == m) & (t["n"] == n)]
-                for m in range(self.out_maps) for n in range(self.in_maps)}
-        return MappingProxyType({g: PESchedule(pes, tuple(r[p::pes] for p in range(pes)),
-                                               _ceil_div(len(r), pes))
-                                 for g, r in rows.items()})
+        """Read-only (m, n) -> PESchedule view of the table, dealt from its `pe`
+        column: PE p's stream is the group's rows whose `pe` is p, in table
+        order, after one stable sort on (group, pe) and one split. It stays
+        only because tdcbench/workloads._instructions reads it, until
+        ROADMAP item 1a counts from the table."""
+        t, pes, groups = self.table, self.pe_count, self.out_maps * self.in_maps
+        lane = (t["m"] * self.in_maps + t["n"]) * pes + t["pe"]    # as depth, columns in range
+        order = np.argsort(lane, kind="stable")
+        cuts = np.searchsorted(lane[order], np.arange(groups * pes + 1)).tolist()
+        rows = t[order]
+        streams = [rows[a:b] for a, b in zip(cuts, cuts[1:])]
+        dealt = (tuple(streams[a:a + pes]) for a in range(0, groups * pes, pes))
+        return MappingProxyType({divmod(g, self.in_maps): PESchedule(pes, st, max(map(len, st)))
+                                 for g, st in enumerate(dealt)})
 
 
 def schedule_deconv_layer(layer: DeconvLayerSpec, pe_count: int) -> LayerSchedule:
@@ -148,7 +152,8 @@ def simulate_dclp(x: Tensor3, schedule: LayerSchedule, geometry: TdcGeometry,
             raise ScheduleMismatchError(f"an instruction's {col} is outside [0, {hi})")
     index = (((t["m"] * s2 + t["phase"]) * n_in + t["n"]) * k + t["y"]) * k + t["x"]
     filters = np.bincount(index, t["weight"], conv.weights.size).reshape(conv.weights.shape)
-    out = conv_taps(_padded_block(x.data, k, conv.pad_before), conv_operands(filters, conv.bias))
+    block, _ = _padded_block(x.data, k, conv.pad_before, conv.pad_after)
+    out = conv_taps(block, conv_operands(filters, conv.bias))
     cycles = _cycles(conv.out_maps, schedule.pe_count, schedule.in_maps, in_tile,
                      h, w, schedule.depth)
     return Tensor3(out), cycles

@@ -297,10 +297,16 @@ class TestExitCodes:
           "--width", "0"], "--width must be a positive integer, got 0"),
         (["resources", "--x", "4", "--y", "2", "--z", "1", "--kd", "5", "--scale", "2",
           "--bits", "0"], "--bits must be a positive integer, got 0"),
-    ], ids=["resources_x", "plan_y", "plan_z", "plan_width", "resources_bits"])
+        (["plan", "--x", "4", "--y", "2", "--z", "1", "--kd", "5", "--scale", "0"],
+         "--scale must lie in 2..128, got 0"),
+        (["plan", "--x", "4", "--y", "2", "--z", "1", "--kd", "5", "--scale", "99999999"],
+         "--scale must lie in 2..128, got 99999999"),
+    ], ids=["resources_x", "plan_y", "plan_z", "plan_width", "resources_bits",
+            "plan_scale_0", "plan_scale_huge"])
     def test_small_size_flags(self, capsys, argv, message):
         # the library's "require x >= 1, y >= 1, z >= 0" (and plan_dataflow's
-        # "input_width and bit_width must be >= 1"), naming no flag, before
+        # "input_width and bit_width must be >= 1", FsrcnnConfig's scale
+        # checks), naming no flag, before
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: {message}\n"

@@ -4,14 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
-from tdcnet.errors import ConfigurationError
+from tdcnet.errors import ConfigurationError, DimensionError
 from tdcnet.model import NetworkSpec, Tensor3, conv_layer, parse_weights
 from tdcnet.pipeline import infer
-from tdcnet.quant import (QFormat, dequantize, double_mac_product,
-                          fixed_point_error_bound, float_forward,
-                          quantize_array, quantize_network, quantize_value,
-                          quantized_forward, round_half_even_rshift,
-                          sweep_bitwidth)
+from tdcnet.quant import (QFormat, QuantizedNetwork, dequantize, double_mac_product,
+                          fixed_point_error_bound, float_forward, quantize_array,
+                          quantize_network, quantize_value, quantized_forward,
+                          round_half_even_rshift, sweep_bitwidth)
 
 from conftest import random_net, random_weight_doc
 
@@ -114,6 +113,23 @@ class TestQuantizedForward:
                 quantized_forward(qnet, np.array([[[0, bad]]]))
         out = quantized_forward(qnet, np.array([[[Q13.min_raw, Q13.max_raw]]]))
         assert out.tolist() == [[[-2048, 2048]]]
+
+    @pytest.mark.parametrize("kernel", [1, 3])
+    def test_layer_input_channels_checked(self, rng, kernel):
+        # each layer's input is checked against its in_maps, also past the
+        # first layer, as a hand-built QuantizedNetwork is not validated
+        net = random_net(rng)
+        qnet = quantize_network(net, Q13, Q13)
+        with pytest.raises(DimensionError, match="input channels 2 != layer in_maps 1"):
+            float_forward(net, Tensor3(rng.uniform(0, 1, (2, 4, 4))))
+        with pytest.raises(DimensionError, match="input channels 2 != layer in_maps 1"):
+            quantized_forward(qnet, np.zeros((2, 4, 4), dtype=np.int64))
+        layers = tuple(quantize_network(NetworkSpec((conv_layer(k, m, n, np.ones((m, n, k, k))),)),
+                                        Q13, Q13).layers[0]
+                       for k, m, n in ((3, 2, 1), (kernel, 1, 3)))    # 2 maps out, 3 in
+        with pytest.raises(DimensionError, match="input channels 2 != layer in_maps 3"):
+            quantized_forward(QuantizedNetwork(layers, Q13, Q13),
+                              np.zeros((1, 4, 4), dtype=np.int64))
 
     def test_error_within_self_computed_bound(self, rng):
         for _ in range(5):

@@ -85,7 +85,9 @@ def test_conv_taps_reads_row_interleaved_blocks_in_place(rng, kernel, live):
     if live == "sparse":
         weights[2:, :, 0] = 0                             # maps 0, 1 alone in kernel row 0
     ops = conv_operands(weights, np.zeros(m))
-    block = _padded_block(rng.normal(size=(n, r, w)), kernel, kernel // 2)
+    # K = 1 takes the rows as given, so give them held row-interleaved
+    x = np.ascontiguousarray(rng.normal(size=(n, r, w)).transpose(1, 0, 2)).transpose(1, 0, 2)
+    block = _padded_block(x, kernel, kernel // 2, kernel // 2)[0]
     sums = r * m * w * 8
     products = {1: 0, 3: sums * (min(kernel, _GROUP_BYTES // sums) if live == "dense" else 1)}
     peaks = []

@@ -125,6 +125,18 @@ class TestBuildSchedule:
         assert sum(len(st) for g in bad.groups.values() for st in g.streams) == 1
         assert bad.depth == 1
 
+    def test_groups_deal_from_the_pe_column(self, rng):
+        # a table that puts every tap on PE 0: the cycle model's depth is 25,
+        # where a view dealt by row order would hand rows to PEs 1-3 and read 7
+        sched = schedule_deconv_layer(random_deconv(rng, 5, 2, m=1, n=1, lo=1), 4)
+        table = sched.table.copy()
+        table["pe"] = 0
+        one_pe = dataclasses.replace(sched, table=table)
+        group = one_pe.groups[(0, 0)]
+        assert one_pe.depth == group.depth == len(table) == 25
+        assert group.streams[0].tolist() == table.tolist()
+        assert [len(st) for st in group.streams[1:]] == [0, 0, 0]
+
 
 class TestSimulateDclp:
     def test_matches_conv2d(self, rng):
